@@ -8,8 +8,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
-
+#include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "agg/slice_store.h"
 #include "common/flat_hash_map.h"
@@ -19,6 +21,7 @@
 #include "common/spsc_ring.h"
 #include "dataflow/operator.h"
 #include "dataflow/operators.h"
+#include "net/frame.h"
 #include "window/aggregate_fn.h"
 #include "window/window_fn.h"
 
@@ -151,6 +154,54 @@ void BM_RecordSerde(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(n));
 }
 BENCHMARK(BM_RecordSerde);
+
+// CRC-32 over one buffer of state.range(0) bytes (bytes/s). 15369 bytes
+// is one 256-record YSB data frame, the unit the ingest edge checks.
+void BM_Crc32(benchmark::State& state) {
+  const auto len = static_cast<size_t>(state.range(0));
+  Rng rng(3);
+  std::string buf(len, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.NextBelow(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buf));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * len));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(15369)->Arg(1 << 20);
+
+// Decoding one kMsgData payload of 256 YSB-shaped records (four int64
+// fields, 60 bytes each on the wire) into a recycled batch vector, as the
+// ingest edge does per frame. items/s is records/s; ns per record is its
+// inverse.
+void BM_DecodeDataBatch(benchmark::State& state) {
+  constexpr size_t kRecords = 256;
+  Rng rng(5);
+  std::vector<Record> records;
+  for (size_t i = 0; i < kRecords; ++i) {
+    records.push_back(MakeRecord(
+        static_cast<Timestamp>(i),
+        Value(static_cast<int64_t>(rng.NextBelow(1000))),
+        Value(static_cast<int64_t>(rng.NextBelow(3))),
+        Value(static_cast<int64_t>(rng.NextBelow(1'000'000))),
+        Value(static_cast<int64_t>(rng.NextBelow(10'000)))));
+  }
+  const std::string framed = net::EncodeDataBatch(records.data(), kRecords);
+  const std::string_view payload =
+      std::string_view(framed).substr(net::kFrameHeaderBytes);
+  std::vector<Record> batch;
+  batch.reserve(kRecords);
+  for (auto _ : state) {
+    batch.clear();
+    if (!net::DecodeDataBatch(payload, &batch).ok()) {
+      state.SkipWithError("decode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(batch.data());
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * kRecords));
+}
+BENCHMARK(BM_DecodeDataBatch);
 
 void BM_BoundedQueuePingPong(benchmark::State& state) {
   BoundedQueue<int> q(1024);

@@ -6,26 +6,137 @@ namespace streamline {
 
 namespace {
 
-std::array<uint32_t, 256> BuildCrc32Table() {
-  std::array<uint32_t, 256> table{};
+// Slice-by-8 tables for the reflected polynomial 0xEDB88320: kCrc[0] is
+// the classic byte-at-a-time table, and kCrc[k][b] is the CRC of byte b
+// followed by k zero bytes, so eight table lookups fold one 8-byte word.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables BuildCrc32Tables() {
+  Crc32Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32Tables kCrc = BuildCrc32Tables();
+
+static_assert(kCrc[0][1] == 0x77073096u && kCrc[0][255] == 0x2D02EF8Du,
+              "byte table must be the zlib CRC-32 table");
+
+// Copies sizeof(T) bytes at *p into *v and advances *p; false (and nothing
+// read) when fewer than sizeof(T) bytes are left before `end`.
+template <typename T>
+bool Take(const char** p, const char* end, T* v) {
+  if (static_cast<size_t>(end - *p) < sizeof(T)) return false;
+  std::memcpy(v, *p, sizeof(T));
+  *p += sizeof(T);
+  return true;
+}
+
+Status TruncatedStatus(size_t need, size_t have) {
+  return Status::OutOfRange("truncated buffer: need " + std::to_string(need) +
+                            " bytes, have " + std::to_string(have));
+}
+
+template <typename T>
+Result<T> ReadFixed(const char** cur, const char* end) {
+  T v{};
+  if (!Take(cur, end, &v)) {
+    return TruncatedStatus(sizeof(T), static_cast<size_t>(end - *cur));
+  }
+  return v;
+}
+
+// Why a value decode stopped. The hot loop carries this byte, not a
+// Status; ValueDecodeStatus builds the Status once, on failure only.
+enum class DecodeError : uint8_t { kNone, kTruncated, kUnknownTag };
+
+// Decodes the tagged value at *p (bounded by `end`) into *slot, which must
+// hold the null Value. Advances *p only on success.
+inline DecodeError DecodeValue(const char** p, const char* end, Value* slot) {
+  const char* q = *p;
+  if (q == end) return DecodeError::kTruncated;
+  const auto tag = static_cast<DataType>(*q++);
+  const auto left = static_cast<size_t>(end - q);
+  switch (tag) {
+    case DataType::kNull:
+      break;
+    case DataType::kInt64: {
+      if (left < sizeof(int64_t)) return DecodeError::kTruncated;
+      int64_t v = 0;
+      std::memcpy(&v, q, sizeof(v));
+      q += sizeof(v);
+      *slot = Value(v);
+      break;
+    }
+    case DataType::kDouble: {
+      if (left < sizeof(double)) return DecodeError::kTruncated;
+      double v = 0;
+      std::memcpy(&v, q, sizeof(v));
+      q += sizeof(v);
+      *slot = Value(v);
+      break;
+    }
+    case DataType::kBool:
+      if (left < 1) return DecodeError::kTruncated;
+      *slot = Value(*q++ != 0);
+      break;
+    case DataType::kString: {
+      uint64_t len = 0;
+      if (left < sizeof(len)) return DecodeError::kTruncated;
+      std::memcpy(&len, q, sizeof(len));
+      q += sizeof(len);
+      if (len > left - sizeof(len)) return DecodeError::kTruncated;
+      *slot = Value(std::string(q, static_cast<size_t>(len)));
+      q += len;
+      break;
+    }
+    default:
+      return DecodeError::kUnknownTag;
+  }
+  *p = q;
+  return DecodeError::kNone;
+}
+
+// The Status for a failed DecodeValue at `at` (the value's tag byte).
+Status ValueDecodeStatus(DecodeError e, const char* at, const char* end) {
+  if (e == DecodeError::kUnknownTag) {
+    return Status::Internal(
+        "unknown Value tag " +
+        std::to_string(static_cast<unsigned>(static_cast<uint8_t>(*at))));
+  }
+  return Status::OutOfRange("truncated value: " + std::to_string(end - at) +
+                            " bytes left");
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len) {
-  static const std::array<uint32_t, 256> table = BuildCrc32Table();
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; len -= 8, p += 8) {
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    std::memcpy(&lo, p, sizeof(lo));  // little-endian word loads
+    std::memcpy(&hi, p + 4, sizeof(hi));
+    lo ^= crc;
+    crc = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+          kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^
+          kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+          kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+  }
+  for (; len > 0; --len, ++p) {
+    crc = kCrc[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -59,43 +170,17 @@ void BinaryWriter::WriteRecord(const Record& r) {
   for (const Value& v : r.fields) WriteValue(v);
 }
 
-Status BinaryReader::ReadRaw(void* out, size_t len) {
-  if (pos_ + len > data_.size()) {
-    return Status::OutOfRange("truncated buffer: need " +
-                              std::to_string(len) + " bytes, have " +
-                              std::to_string(data_.size() - pos_));
-  }
-  std::memcpy(out, data_.data() + pos_, len);
-  pos_ += len;
-  return Status::Ok();
-}
-
 Result<uint8_t> BinaryReader::ReadU8() {
-  uint8_t v = 0;
-  Status st = ReadRaw(&v, sizeof(v));
-  if (!st.ok()) return st;
-  return v;
+  return ReadFixed<uint8_t>(&cur_, end_);
 }
-
 Result<int64_t> BinaryReader::ReadI64() {
-  int64_t v = 0;
-  Status st = ReadRaw(&v, sizeof(v));
-  if (!st.ok()) return st;
-  return v;
+  return ReadFixed<int64_t>(&cur_, end_);
 }
-
 Result<uint64_t> BinaryReader::ReadU64() {
-  uint64_t v = 0;
-  Status st = ReadRaw(&v, sizeof(v));
-  if (!st.ok()) return st;
-  return v;
+  return ReadFixed<uint64_t>(&cur_, end_);
 }
-
 Result<double> BinaryReader::ReadDouble() {
-  double v = 0;
-  Status st = ReadRaw(&v, sizeof(v));
-  if (!st.ok()) return st;
-  return v;
+  return ReadFixed<double>(&cur_, end_);
 }
 
 Result<bool> BinaryReader::ReadBool() {
@@ -107,68 +192,55 @@ Result<bool> BinaryReader::ReadBool() {
 Result<std::string> BinaryReader::ReadString() {
   auto len = ReadU64();
   if (!len.ok()) return len.status();
-  if (pos_ + *len > data_.size()) {
+  if (*len > remaining()) {
     return Status::OutOfRange("truncated string of length " +
                               std::to_string(*len));
   }
-  std::string s(data_.substr(pos_, *len));
-  pos_ += *len;
+  std::string s(cur_, static_cast<size_t>(*len));
+  cur_ += *len;
   return s;
 }
 
 Result<Value> BinaryReader::ReadValue() {
-  auto tag = ReadU8();
-  if (!tag.ok()) return tag.status();
-  switch (static_cast<DataType>(*tag)) {
-    case DataType::kNull:
-      return Value::Null();
-    case DataType::kInt64: {
-      auto v = ReadI64();
-      if (!v.ok()) return v.status();
-      return Value(*v);
-    }
-    case DataType::kDouble: {
-      auto v = ReadDouble();
-      if (!v.ok()) return v.status();
-      return Value(*v);
-    }
-    case DataType::kBool: {
-      auto v = ReadBool();
-      if (!v.ok()) return v.status();
-      return Value(*v);
-    }
-    case DataType::kString: {
-      auto v = ReadString();
-      if (!v.ok()) return v.status();
-      return Value(std::move(*v));
-    }
-  }
-  return Status::Internal("unknown Value tag " + std::to_string(*tag));
+  Value v;
+  const DecodeError e = DecodeValue(&cur_, end_, &v);
+  if (e != DecodeError::kNone) return ValueDecodeStatus(e, cur_, end_);
+  return v;
 }
 
 Result<Record> BinaryReader::ReadRecord() {
-  auto ts = ReadI64();
-  if (!ts.ok()) return ts.status();
-  auto kh = ReadU64();
-  if (!kh.ok()) return kh.status();
-  auto n = ReadU64();
-  if (!n.ok()) return n.status();
+  Record r;
+  STREAMLINE_RETURN_IF_ERROR(ReadRecordInto(&r));
+  return r;
+}
+
+Status BinaryReader::ReadRecordInto(Record* out) {
+  const char* p = cur_;
+  int64_t ts = 0;
+  uint64_t key_hash = 0;
+  uint64_t n = 0;
+  if (!Take(&p, end_, &ts) || !Take(&p, end_, &key_hash) ||
+      !Take(&p, end_, &n)) {
+    return TruncatedStatus(3 * sizeof(uint64_t), remaining());
+  }
   // Every field needs at least one tag byte: a count beyond the remaining
   // buffer is corrupt input, not a reason to attempt a huge allocation.
-  if (*n > remaining()) {
-    return Status::OutOfRange("field count " + std::to_string(*n) +
+  if (n > static_cast<size_t>(end_ - p)) {
+    return Status::OutOfRange("field count " + std::to_string(n) +
                               " exceeds remaining buffer");
   }
-  Record r;
-  r.timestamp = *ts;
-  r.key_hash = *kh;
-  r.fields.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto v = ReadValue();
-    if (!v.ok()) return v.status();
-    r.fields.push_back(std::move(*v));
+  out->timestamp = ts;
+  out->key_hash = key_hash;
+  FieldVec& fields = out->fields;
+  if (!fields.empty()) fields.clear();
+  fields.resize(static_cast<size_t>(n));  // n null Values to decode into
+  Value* slot = fields.data();
+  for (uint64_t i = 0; i < n; ++i) {
+    const DecodeError e = DecodeValue(&p, end_, slot + i);
+    if (e != DecodeError::kNone) return ValueDecodeStatus(e, p, end_);
   }
-  return r;
+  cur_ = p;
+  return Status::Ok();
 }
 
 }  // namespace streamline

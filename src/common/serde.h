@@ -1,6 +1,7 @@
 #ifndef STREAMLINE_COMMON_SERDE_H_
 #define STREAMLINE_COMMON_SERDE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -13,8 +14,15 @@
 
 namespace streamline {
 
+// Every fixed-width field in the serde encoding (and so in checkpoints, the
+// WAL and the wire protocol) is little-endian, and the writer, the reader
+// and Crc32's word loads move host integers with memcpy. A big-endian port
+// would need explicit byte swaps in all three.
+static_assert(std::endian::native == std::endian::little,
+              "serde encodes host integers byte for byte as little-endian");
+
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) over a byte range.
-/// Used by the durable snapshot store to detect on-disk corruption.
+/// Frames the wire protocol, WAL segments and durable snapshot files.
 uint32_t Crc32(const void* data, size_t len);
 inline uint32_t Crc32(std::string_view bytes) {
   return Crc32(bytes.data(), bytes.size());
@@ -53,7 +61,8 @@ class BinaryWriter {
 /// corrupted snapshot surfaces as a recoverable error.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::string_view data) : data_(data) {}
+  explicit BinaryReader(std::string_view data)
+      : cur_(data.data()), end_(data.data() + data.size()) {}
 
   Result<uint8_t> ReadU8();
   Result<int64_t> ReadI64();
@@ -64,13 +73,21 @@ class BinaryReader {
   Result<Value> ReadValue();
   Result<Record> ReadRecord();
 
-  bool AtEnd() const { return pos_ == data_.size(); }
-  size_t remaining() const { return data_.size() - pos_; }
+  /// The record decoder every path shares (wire ingest, snapshot restore,
+  /// changelog replay): decodes one record in a single bounds-checked pass,
+  /// building its values straight into `out->fields`, whose previous
+  /// contents are replaced. Errors: OutOfRange on truncation (including a
+  /// field count larger than the bytes left), Internal on an unknown value
+  /// tag. On error `*out` is valid but unspecified and the read position
+  /// is unchanged.
+  Status ReadRecordInto(Record* out);
+
+  bool AtEnd() const { return cur_ == end_; }
+  size_t remaining() const { return static_cast<size_t>(end_ - cur_); }
 
  private:
-  Status ReadRaw(void* out, size_t len);
-  std::string_view data_;
-  size_t pos_ = 0;
+  const char* cur_;
+  const char* end_;
 };
 
 }  // namespace streamline

@@ -184,9 +184,7 @@ Status KeyedReduceOperator::ApplyDelta(BinaryReader* r) {
   auto [entry, inserted] = state_.TryEmplace(hash, *key);
   (void)inserted;
   if (*present != 0) {
-    auto rec = r->ReadRecord();
-    if (!rec.ok()) return rec.status();
-    entry->second = std::move(*rec);
+    STREAMLINE_RETURN_IF_ERROR(r->ReadRecordInto(&entry->second));
   }
   return Status::Ok();
 }

@@ -71,10 +71,10 @@ Status DecodeDataBatch(std::string_view payload, std::vector<Record>* out) {
   }
   auto count = r.ReadU64();
   if (!count.ok()) return count.status();
-  // A record is at least 17 bytes on the wire (ts + key hash + field
-  // count); a count that cannot fit in the payload is corruption, rejected
-  // before any allocation sized from it.
-  if (*count > payload.size() / 17 + 1) {
+  // A record is at least 24 bytes on the wire (timestamp, key hash and
+  // field count); a count that cannot fit in the payload is corruption,
+  // rejected before any allocation sized from it.
+  if (*count > payload.size() / 24) {
     return Status::InvalidArgument("data frame record count " +
                                    std::to_string(*count) +
                                    " exceeds payload capacity");
@@ -82,12 +82,11 @@ Status DecodeDataBatch(std::string_view payload, std::vector<Record>* out) {
   const size_t base = out->size();
   out->reserve(base + static_cast<size_t>(*count));
   for (uint64_t i = 0; i < *count; ++i) {
-    auto rec = r.ReadRecord();
-    if (!rec.ok()) {
+    Status st = r.ReadRecordInto(&out->emplace_back());
+    if (!st.ok()) {
       out->resize(base);  // fail closed: all-or-nothing per frame
-      return rec.status();
+      return st;
     }
-    out->push_back(std::move(*rec));
   }
   if (!r.AtEnd()) {
     out->resize(base);

@@ -256,6 +256,119 @@ TEST(WireProtocolTest, DataPayloadDecodeIsAllOrNothing) {
   }
 }
 
+TEST(WireProtocolTest, DataPayloadCountBoundIsTwentyFourBytesPerRecord) {
+  // Records with no fields take exactly 24 bytes (timestamp, key hash,
+  // field count), so a 9 + 24n byte payload holds at most n records.
+  const std::vector<Record> records(3, Record());
+  const std::string framed = EncodeDataBatch(records.data(), records.size());
+  std::string payload = framed.substr(kFrameHeaderBytes);
+  ASSERT_EQ(payload.size(), 9 + 24 * records.size());
+  std::vector<Record> out;
+  ASSERT_TRUE(DecodeDataBatch(payload, &out).ok());
+  ASSERT_EQ(out.size(), records.size());
+
+  // One record more than the payload can hold: rejected before reserve.
+  const uint64_t over = payload.size() / 24 + 1;
+  std::memcpy(payload.data() + 1, &over, sizeof(over));
+  std::vector<Record> fresh;
+  const Status st = DecodeDataBatch(payload, &fresh);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(fresh.capacity(), 0u);
+}
+
+/// A data payload of two records holding every value type, built field by
+/// field so the offsets of each value's tag byte and of each string's
+/// length prefix are known.
+struct AnnotatedPayload {
+  std::string bytes;
+  std::vector<size_t> tag_offsets;
+  std::vector<size_t> string_length_offsets;
+};
+
+AnnotatedPayload AllTypesPayload() {
+  const std::vector<Record> records = {
+      MakeRecord(-3, Value(), Value(int64_t{-42}), Value(2.5), Value(true),
+                 Value("hello")),
+      MakeRecord(7, Value("wide"), Value(false), Value(int64_t{1} << 40),
+                 Value(-0.0), Value(), Value("")),
+  };
+  AnnotatedPayload p;
+  BinaryWriter w;
+  w.WriteU8(kMsgData);
+  w.WriteU64(records.size());
+  for (const Record& r : records) {
+    w.WriteI64(r.timestamp);
+    w.WriteU64(r.key_hash);
+    w.WriteU64(r.fields.size());
+    for (const Value& v : r.fields) {
+      p.tag_offsets.push_back(w.size());
+      if (v.type() == DataType::kString) {
+        p.string_length_offsets.push_back(w.size() + 1);
+      }
+      w.WriteValue(v);
+    }
+  }
+  p.bytes = w.Release();
+  // The hand-built payload is exactly what the encoder sends.
+  const std::string framed = EncodeDataBatch(records.data(), records.size());
+  EXPECT_EQ(p.bytes, framed.substr(kFrameHeaderBytes));
+  return p;
+}
+
+/// Decodes `payload` into a vector holding one earlier record and checks
+/// the decode fails with `code` and leaves exactly that record behind.
+void ExpectRejected(std::string_view payload, StatusCode code,
+                    const std::string& what) {
+  const Record earlier = MakeRecord(99, Value(int64_t{7}), Value("kept"));
+  std::vector<Record> out = {earlier};
+  const Status st = DecodeDataBatch(payload, &out);
+  EXPECT_EQ(st.code(), code) << what << ": " << st.ToString();
+  ASSERT_EQ(out.size(), 1u) << what;
+  EXPECT_EQ(out[0], earlier) << what;
+}
+
+TEST(WireProtocolTest, DataPayloadTruncatedAtEveryByteFailsClosed) {
+  const AnnotatedPayload p = AllTypesPayload();
+  std::vector<Record> whole;
+  ASSERT_TRUE(DecodeDataBatch(p.bytes, &whole).ok());
+  ASSERT_EQ(whole.size(), 2u);
+  for (size_t len = 0; len < p.bytes.size(); ++len) {
+    // A prefix too short for the declared record count is refused by the
+    // count bound; any other prefix runs out of bytes mid-record.
+    const StatusCode code = len >= 9 && 2 > len / 24
+                                ? StatusCode::kInvalidArgument
+                                : StatusCode::kOutOfRange;
+    ExpectRejected(std::string_view(p.bytes).substr(0, len), code,
+                   "prefix of " + std::to_string(len) + " bytes");
+  }
+}
+
+TEST(WireProtocolTest, DataPayloadCorruptTagOrStringLengthFailsClosed) {
+  const AnnotatedPayload p = AllTypesPayload();
+  ASSERT_EQ(p.tag_offsets.size(), 11u);
+  ASSERT_EQ(p.string_length_offsets.size(), 3u);
+  for (size_t off : p.tag_offsets) {
+    for (uint8_t bad : {uint8_t{5}, uint8_t{0x80}, uint8_t{0xFF}}) {
+      std::string corrupt = p.bytes;
+      corrupt[off] = static_cast<char>(bad);
+      ExpectRejected(corrupt, StatusCode::kInternal,
+                     "tag at " + std::to_string(off) + " set to " +
+                         std::to_string(bad));
+    }
+  }
+  // Inverting any byte of a length prefix claims more string bytes than
+  // the payload holds.
+  for (size_t off : p.string_length_offsets) {
+    for (size_t byte = 0; byte < sizeof(uint64_t); ++byte) {
+      std::string corrupt = p.bytes;
+      corrupt[off + byte] = static_cast<char>(~corrupt[off + byte]);
+      ExpectRejected(corrupt, StatusCode::kOutOfRange,
+                     "string length at " + std::to_string(off) +
+                         " byte " + std::to_string(byte) + " inverted");
+    }
+  }
+}
+
 TEST(WireProtocolTest, GarbageBytesPoisonInsteadOfLoopingOrOverreading) {
   // 64 KiB of deterministic garbage: the decoder must terminate with an
   // error (poisoned) or keep waiting for more bytes -- never yield a frame,
