@@ -169,10 +169,10 @@ void Run() {
   }
 
   {
-    // batch_size sweep: 1 is the per-record path (one virtual ProcessRecord
-    // call per record per hop), larger sizes amortize dispatch over whole
-    // batches. In-motion batches are additionally cut by the source's
-    // watermark cadence (every 64 records).
+    // batch_size sweep: 1 ships batches of one record (one virtual
+    // ProcessBatch call per record per hop), larger sizes amortize dispatch
+    // over whole batches. In-motion batches are additionally cut by the
+    // source's watermark cadence (every 64 records).
     Table table({"batch_size", "at rest", "in motion"});
     for (size_t bs : {1u, 16u, 64u, 256u, 1024u}) {
       const double rest_s = RunChainedPipeline(true, bs);

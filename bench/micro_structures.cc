@@ -15,7 +15,6 @@
 
 #include "agg/slice_store.h"
 #include "common/flat_hash_map.h"
-#include "common/queue.h"
 #include "common/random.h"
 #include "common/serde.h"
 #include "common/spsc_ring.h"
@@ -203,21 +202,8 @@ void BM_DecodeDataBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeDataBatch);
 
-void BM_BoundedQueuePingPong(benchmark::State& state) {
-  BoundedQueue<int> q(1024);
-  size_t n = 0;
-  for (auto _ : state) {
-    q.Push(1);
-    benchmark::DoNotOptimize(q.Pop());
-    ++n;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_BoundedQueuePingPong);
-
 // Single-thread ping-pong on the lock-free ring: the floor for one
-// push+pop pair with no contention. Compare against
-// BM_BoundedQueuePingPong (mutex + condvar).
+// push+pop pair with no contention.
 void BM_SpscRingPingPong(benchmark::State& state) {
   SpscRing<int> ring(1024);
   int out = 0;
@@ -232,40 +218,30 @@ void BM_SpscRingPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscRingPingPong);
 
-// Cross-thread throughput, mutex MPMC queue vs lock-free SPSC channel: the
-// timed loop pushes against a live consumer thread, so items/sec reflects
-// the full producer-side handoff cost (synchronization + backpressure).
-void BM_BoundedQueueThroughput(benchmark::State& state) {
-  BoundedQueue<int> q(1024);
-  std::atomic<uint64_t> consumed{0};
-  std::thread consumer([&] {
-    while (q.Pop().has_value()) {
-      consumed.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  size_t n = 0;
-  for (auto _ : state) {
-    q.Push(1);
-    ++n;
-  }
-  q.Close();
-  consumer.join();
-  state.SetItemsProcessed(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_BoundedQueueThroughput)->UseRealTime();
-
+// Cross-thread throughput of the lock-free SPSC channel: the timed loop
+// pushes against a live consumer thread with the engine's non-blocking
+// TryPush/TryPop protocol, so items/sec reflects the full producer-side
+// handoff cost (synchronization + backpressure retries).
 void BM_SpscChannelThroughput(benchmark::State& state) {
-  Doorbell bell;
-  SpscChannel<int> ch(1024, &bell);
+  SpscChannel<int> ch(1024);
   std::atomic<uint64_t> consumed{0};
   std::thread consumer([&] {
-    while (ch.Pop().has_value()) {
-      consumed.fetch_add(1, std::memory_order_relaxed);
+    int v = 0;
+    for (;;) {
+      if (ch.TryPop(&v)) {
+        consumed.fetch_add(1, std::memory_order_relaxed);
+      } else if (ch.closed()) {
+        // One more pop covers an item pushed just before the close.
+        while (ch.TryPop(&v)) consumed.fetch_add(1, std::memory_order_relaxed);
+        return;
+      } else {
+        std::this_thread::yield();
+      }
     }
   });
   size_t n = 0;
   for (auto _ : state) {
-    ch.Push(1);
+    while (!ch.TryPush(1)) std::this_thread::yield();
     ++n;
   }
   ch.Close();

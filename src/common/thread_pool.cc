@@ -18,12 +18,12 @@ namespace {
 thread_local WorkStealingPool* tls_pool = nullptr;
 thread_local size_t tls_worker_index = 0;
 
-// Yields this many times while empty before parking (mirrors the
-// executor's idle_spin_budget philosophy: cheap wakeups beat latency).
+// Yields this many times while empty before parking: cheap wakeups beat
+// latency, and on busy hosts a peer needs the core more than the spin.
 constexpr int kIdleSpinBudget = 64;
 
 // Parked workers still wake at this cadence as a backstop against lost
-// wakeups -- the same contract Doorbell::Park honors.
+// wakeups.
 constexpr auto kParkBackstop = std::chrono::milliseconds(1);
 
 void SetCurrentThreadName(const std::string& name) {
@@ -40,11 +40,7 @@ void SetCurrentThreadName(const std::string& name) {
 WorkStealingPool::WorkStealingPool(Options options)
     : name_prefix_(options.thread_name_prefix) {
   size_t n = options.num_workers;
-  if (options.timer_only) {
-    n = 0;
-  } else if (n == 0) {
-    n = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     workers_.emplace_back(std::make_unique<Worker>());
@@ -65,9 +61,9 @@ void WorkStealingPool::Notify(Schedulable* task) {
   //                                one queue slot per kQueued episode)
   //   kRunning -> kRunningNotified (the running worker requeues at finish)
   // and treats kQueued / kRunningNotified as already-covered no-ops.
-  // Claiming (ClaimAndRun / TryRunInline) takes kQueued -> kRunning with
-  // an acquire CAS; the finish protocol (RunClaimed) owns every
-  // transition out of kRunning*. The release/acquire pairing on
+  // Claiming (ClaimAndRun) takes kQueued -> kRunning with an acquire
+  // CAS; the finish protocol (RunClaimed) owns every transition out of
+  // kRunning*. The release/acquire pairing on
   // claim/finish is the happens-before edge that hands the task's
   // non-atomic state from one worker to the next.
   uint32_t state = task->sched_state_.load(std::memory_order_relaxed);
@@ -122,8 +118,7 @@ void WorkStealingPool::WakeOne() {
   if (num_parked_approx_.load(std::memory_order_seq_cst) == 0) return;
   {
     // Empty critical section: serializes with a worker between its "deques
-    // are empty" check and its park, so the notify below cannot be lost
-    // (same protocol as Doorbell::Ring).
+    // are empty" check and its park, so the notify below cannot be lost.
     MutexLock lock(&park_mu_);
   }
   counters_.wakeups.fetch_add(1, std::memory_order_relaxed);
@@ -275,26 +270,6 @@ bool WorkStealingPool::TryRunOneTask() {
     }
   }
   return false;
-}
-
-bool WorkStealingPool::TryRunInline(Schedulable* task) {
-  // Claim directly from idle or queued. Claiming an idle task is harmless:
-  // its Step finds nothing and it goes back to idle. A queued task's deque
-  // entry goes stale; ClaimAndRun's CAS drops it when dequeued.
-  uint32_t expected = Schedulable::kIdle;
-  if (!task->sched_state_.compare_exchange_strong(
-          expected, Schedulable::kRunning, std::memory_order_acq_rel,
-          std::memory_order_relaxed)) {
-    if (expected != Schedulable::kQueued) return false;  // running elsewhere
-    if (!task->sched_state_.compare_exchange_strong(
-            expected, Schedulable::kRunning, std::memory_order_acq_rel,
-            std::memory_order_relaxed)) {
-      return false;
-    }
-  }
-  counters_.morsels_inline.fetch_add(1, std::memory_order_relaxed);
-  RunClaimed(task);
-  return true;
 }
 
 void WorkStealingPool::WorkerMain(size_t index) {

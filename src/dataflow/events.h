@@ -10,32 +10,24 @@
 
 namespace streamline {
 
-/// One unit of in-flight data on a channel. Besides records, channels carry
-/// the three control events of the pipelined engine: watermarks (event-time
-/// progress), checkpoint barriers (asynchronous barrier snapshotting) and
-/// end-of-stream markers (what makes a bounded "batch" job just a stream
-/// that ends).
+/// One unit of in-flight data on a channel. Besides record batches,
+/// channels carry the three control events of the pipelined engine:
+/// watermarks (event-time progress), checkpoint barriers (asynchronous
+/// barrier snapshotting) and end-of-stream markers (what makes a bounded
+/// "batch" job just a stream that ends).
 struct StreamEvent {
   enum class Kind : uint8_t {
-    kRecord = 0,
+    kBatch = 0,
     kWatermark = 1,
     kBarrier = 2,
     kEndOfStream = 3,
-    kBatch = 4,
   };
 
-  Kind kind = Kind::kRecord;
-  Record record;                      // kRecord
+  Kind kind = Kind::kBatch;
   std::vector<Record> batch;          // kBatch (network-buffer batching)
   Timestamp watermark = kMinTimestamp;  // kWatermark
   uint64_t barrier_id = 0;            // kBarrier
 
-  static StreamEvent OfRecord(Record r) {
-    StreamEvent e;
-    e.kind = Kind::kRecord;
-    e.record = std::move(r);
-    return e;
-  }
   static StreamEvent OfBatch(std::vector<Record> records) {
     StreamEvent e;
     e.kind = Kind::kBatch;

@@ -41,8 +41,8 @@ class WalChangelogSink : public ChangelogSink {
 /// rings are single-producer/single-consumer by construction -- every
 /// (upstream subtask, downstream subtask) pair gets its own InputChannel.
 struct InputChannel {
-  InputChannel(size_t capacity, Doorbell* doorbell)
-      : events(capacity, doorbell), recycle(capacity + 2) {}
+  explicit InputChannel(size_t capacity)
+      : events(capacity), recycle(capacity + 2) {}
 
   SpscChannel<StreamEvent> events;
   // Lossy buffer recycling: the consumer TryPushes drained
@@ -57,9 +57,8 @@ struct OutputTarget {
   // Per-target record buffer ("network buffer"): amortizes channel
   // synchronization over batch_size records.
   std::vector<Record> buffer;
-  // Scheduler-mode backpressure: events that found the ring full wait
-  // here, in order, and are re-offered before anything newer (see
-  // PushEvent). Bounded by one morsel's output -- a task with pending
+  // Backpressure: events that found the ring full wait here, in order,
+  // and are re-offered before anything newer (see PushEvent). Bounded by one morsel's output -- a task with pending
   // overflow stops consuming input until the queue drains.
   std::deque<StreamEvent> overflow;
 };
@@ -91,14 +90,11 @@ constexpr size_t kDrainBudgetPerVisit = 1;
 /// One physical task: a chain of operators (possibly headed by a source),
 /// with one SPSC input channel per upstream subtask, multiplexed
 /// round-robin with per-channel watermark and barrier-alignment tracking.
-/// Two execution modes drive it. The morsel scheduler (default) runs
-/// bounded Step() calls on a fixed work-stealing pool, so a logical task is
-/// just a schedulable unit and parallelism above the core count does not
-/// add OS threads. Thread-per-task mode runs the blocking Run() body on a
-/// dedicated thread. Both modes share all delivery, routing, and
-/// checkpoint logic -- and because the pool serializes Step() calls per
-/// task and channels stay FIFO, barrier positions and sink output are
-/// byte-identical between them.
+/// The morsel scheduler runs bounded Step() calls on a fixed work-stealing
+/// pool, so a logical task is just a schedulable unit and parallelism above
+/// the core count does not add OS threads. Because the pool serializes
+/// Step() calls per task and channels stay FIFO, barrier positions and sink
+/// output are byte-identical at every worker count.
 class Task : public Schedulable {
  public:
   Task(Job* job, std::vector<int> node_ids, int subtask, int parallelism)
@@ -113,15 +109,12 @@ class Task : public Schedulable {
   std::unique_ptr<SourceFunction> source;
   std::vector<std::unique_ptr<Operator>> ops;  // chain after optional source
   // One SPSC channel per upstream subtask, indexed by channel id; every
-  // producer rings `doorbell` after a push so this task can park when all
-  // channels are empty.
+  // push notifies this task on the pool (see AttachScheduler).
   std::vector<std::unique_ptr<InputChannel>> inputs;
-  Doorbell doorbell;
   int num_inputs = 0;
   std::vector<int> channel_ordinal;
   std::vector<OutputEdge> outputs;
   size_t batch_size = 256;
-  size_t idle_spin_budget = 64;
   // Fault injection (chaos testing): one site label per chain element,
   // "source:<name>" / "op:<name>". Null injector = no faults.
   FaultInjector* injector = nullptr;
@@ -148,12 +141,10 @@ class Task : public Schedulable {
           (is_source ? 1 : 0) + i + 1, downstream);
     }
     // Batch-at-a-time execution: whole channel events flow through
-    // ProcessBatch chains. Disabled only at batch_size 1, which IS the
-    // per-record path. Fault injection works on both paths: batch hops
-    // probe a whole span of record hits at once (FaultInjector::OnSpan)
-    // with accounting identical to the per-record probes.
-    batch_path_ = batch_size > 1;
-    if (batch_path_ && is_source) source_batch_.reserve(batch_size);
+    // ProcessBatch chains (batch_size 1 ships batches of one). Batch hops
+    // probe fault sites for a whole span of record hits at once
+    // (FaultInjector::OnSpan) with per-record hit accounting.
+    if (is_source) source_batch_.reserve(batch_size);
     OperatorContext ctx;
     ctx.subtask_index = subtask_;
     ctx.parallelism = parallelism_;
@@ -240,17 +231,15 @@ class Task : public Schedulable {
     pending_barrier_.store(id, std::memory_order_release);
   }
 
-  /// Scheduler-mode wiring (main thread, before Start): pushes into any of
-  /// this task's input channels notify it on the pool instead of ringing
-  /// the doorbell, and output backpressure becomes help-out work.
+  /// Pool wiring (main thread, before Start): pushes into any of this
+  /// task's input channels mark it runnable on the pool.
   void AttachScheduler(WorkStealingPool* pool) {
-    scheduler_mode_ = true;
     notify_waker_.pool = pool;
     notify_waker_.task = this;
     for (auto& in : inputs) in->events.set_waker(&notify_waker_);
   }
 
-  /// True once the task ran its final morsel (scheduler mode only).
+  /// True once the task ran its final morsel.
   bool done() const {
     return phase_.load(std::memory_order_acquire) == kPhaseDone;
   }
@@ -282,37 +271,12 @@ class Task : public Schedulable {
     return s;
   }
 
-  // --- thread body ---------------------------------------------------------
+  // --- morsel body ----------------------------------------------------------
 
-  void Run() {
-    try {
-      if (is_source) {
-        RunSource();
-      } else {
-        RunOperator();
-      }
-    } catch (const StatusError& e) {
-      Fail(e.status());
-    } catch (const std::exception& e) {
-      Fail(Status::Internal("uncaught exception in task '" + task_name +
-                            "': " + e.what()));
-    } catch (...) {
-      Fail(Status::Internal("uncaught non-standard exception in task '" +
-                            task_name + "'"));
-    }
-    if (!task_status_.ok()) {
-      job_->ReportTaskFailure(task_name, task_status_);
-      AbortAndDrain();
-    }
-  }
-
-  // --- morsel body (scheduler mode) ---------------------------------------
-
-  /// One bounded morsel, the scheduler-mode unit of execution. The pool
-  /// serializes Step calls per task (run-once claiming with
-  /// acquire/release handover), so everything the thread body above
-  /// touches stays effectively single-threaded even though successive
-  /// morsels may run on different workers.
+  /// One bounded morsel, the unit of execution. The pool serializes Step
+  /// calls per task (run-once claiming with acquire/release handover), so
+  /// all task state stays effectively single-threaded even though
+  /// successive morsels may run on different workers.
   bool Step() override {
     debug_steps_.fetch_add(1, std::memory_order_relaxed);
     const uint8_t phase = phase_.load(std::memory_order_relaxed);
@@ -351,8 +315,8 @@ class Task : public Schedulable {
       Fail(Status::Internal("uncaught non-standard exception in task '" +
                             task_name + "'"));
     }
-    // Morselized mirror of Run()'s failure epilogue: report once, then
-    // spread the abort-drain over subsequent morsels.
+    // Failure epilogue: report once, then spread the abort-drain over
+    // subsequent morsels.
     job_->ReportTaskFailure(task_name, task_status_);
     BeginAbort();
     return StepAbort();
@@ -390,8 +354,8 @@ class Task : public Schedulable {
     /// Batch hop: the whole batch moves to the next chain element in one
     /// virtual call. Fault sites fire here too: one span probe covers the
     /// batch with per-record hit accounting, the prefix before a fired
-    /// fault is processed, and the rest is dropped -- the per-record
-    /// path's semantics at batch granularity.
+    /// fault is processed, and the rest is dropped -- record-by-record
+    /// semantics at batch granularity.
     void EmitBatch(std::vector<Record>&& batch) override {
       if (next_ == nullptr) {
         downstream_->EmitBatch(std::move(batch));
@@ -434,8 +398,8 @@ class Task : public Schedulable {
         return false;
       }
       if (!task_->InjectFault(0)) {
-        // Prefix parity with the per-record path, which had already
-        // delivered the staged records: flush them before the task fails.
+        // Records emitted before the fault were already accepted: flush
+        // the staged ones down the chain before the task fails.
         task_->FlushSourceBatch();
         return false;
       }
@@ -445,18 +409,10 @@ class Task : public Schedulable {
       return task_->task_status_.ok();
     }
     bool EmitSpan(Record* records, size_t n) override {
-      if (!task_->batch_path_) {
-        // Per-record path (bs=1 or fault injection): keep the exact
-        // per-emission semantics, including per-record fault sites.
-        for (size_t i = 0; i < n; ++i) {
-          if (!Emit(std::move(records[i]))) return false;
-        }
-        return true;
-      }
-      // Batch path: barrier and cancellation checks once per span. The
-      // barrier handler flushes the pending source batch before
-      // broadcasting, and the snapshot sees the source position before
-      // this span, so restore replays exactly the unemitted suffix.
+      // Barrier and cancellation checks once per span. The barrier
+      // handler flushes the pending source batch before broadcasting, and
+      // the snapshot sees the source position before this span, so
+      // restore replays exactly the unemitted suffix.
       task_->MaybeHandleSourceBarrier();
       if (!task_->task_status_.ok() ||
           task_->job_->cancelled_.load(std::memory_order_relaxed)) {
@@ -466,8 +422,8 @@ class Task : public Schedulable {
         FaultInjector::SpanFault fault =
             task_->injector->OnSpan(task_->sites[0], n);
         if (fault.fired) {
-          // Per-record parity: records before the fault still travel the
-          // full chain (the per-record path had already delivered them).
+          // Records before the fault still travel the full chain, exactly
+          // as if they had been emitted one by one.
           task_->BufferSourceSpan(records, fault.passed);
           task_->FlushSourceBatch();
           task_->RaiseSpanFault(std::move(fault));  // kThrow leaves here
@@ -478,17 +434,6 @@ class Task : public Schedulable {
       return task_->task_status_.ok();
     }
     bool EmitBatch(std::vector<Record>&& batch) override {
-      if (!task_->batch_path_) {
-        // Per-record path: preserve exact per-emission semantics.
-        for (Record& r : batch) {
-          if (!Emit(std::move(r))) {
-            batch.clear();
-            return false;
-          }
-        }
-        batch.clear();
-        return true;
-      }
       task_->MaybeHandleSourceBarrier();
       if (!task_->task_status_.ok() ||
           task_->job_->cancelled_.load(std::memory_order_relaxed)) {
@@ -523,19 +468,9 @@ class Task : public Schedulable {
       task_->DeliverBatch(0, std::move(batch));
       return task_->task_status_.ok();
     }
-    size_t PreferredBatchSize() const override {
-      return task_->batch_path_ ? task_->batch_size : 1;
-    }
+    size_t PreferredBatchSize() const override { return task_->batch_size; }
     void EmitWatermark(Timestamp wm) override {
       task_->DeliverWatermark(wm);
-    }
-    void HandleIdle() override {
-      // An idle source must not sit on batched records or partially-filled
-      // output buffers (downstream would starve), and must service pending
-      // barriers.
-      task_->FlushSourceBatch();
-      task_->FlushAllBuffers();
-      task_->MaybeHandleSourceBarrier();
     }
     bool IsCancelled() const override {
       return task_->job_->cancelled_.load(std::memory_order_relaxed);
@@ -545,55 +480,9 @@ class Task : public Schedulable {
     Task* task_;
   };
 
-  void RunSource() {
-    SourceTaskContext ctx(this);
-    Status st = source->Run(&ctx);
-    // Fail() keeps the first error: a fault recorded mid-Emit wins over
-    // whatever the source returned in response to the rejected Emit.
-    if (!st.ok()) Fail(std::move(st));
-    if (!task_status_.ok()) return;  // Run() takes the abort path
-    FlushSourceBatch();
-    if (!task_status_.ok()) return;  // flush may fail a chained operator
-    // A checkpoint triggered while the source was finishing must still
-    // complete.
-    MaybeHandleSourceBarrier();
-    DeliverWatermark(kMaxTimestamp);
-    FinishChain();
-  }
-
-  void RunOperator() {
-    // Round-robin over the input channels; a channel is skipped while it is
-    // closed or already aligned for the in-flight barrier (its producer
-    // simply backs up -- that IS the alignment, no stashing needed, because
-    // each producer owns exactly one channel into this task). After a full
-    // pass with no progress the thread spins briefly, then parks on the
-    // doorbell until some producer pushes.
-    size_t idle_spins = 0;
-    while (open_channels_ > 0 && task_status_.ok()) {
-      size_t drained = 0;
-      for (size_t c = 0; c < inputs.size(); ++c) {
-        drained += DrainChannel(c, kDrainBudgetPerVisit);
-      }
-      if (drained > 0) {
-        idle_spins = 0;
-        continue;
-      }
-      if (idle_spins < idle_spin_budget) {
-        ++idle_spins;
-        std::this_thread::yield();
-        continue;
-      }
-      idle_spins = 0;
-      doorbell.Park([this] { return AnyInputReady(); });
-    }
-    if (!task_status_.ok()) return;  // Run() takes the abort path
-    if (task_wm_ < kMaxTimestamp) DeliverWatermark(kMaxTimestamp);
-    FinishChain();
-  }
-
   /// Source morsel: service any pending barrier, then a few polls. An
   /// idle source goes quiet (the job's 1 ms source timer re-notifies it);
-  /// an exhausted or cancelled source runs RunSource()'s epilogue.
+  /// an exhausted or cancelled source runs FinishSource.
   bool StepSource() {
     MaybeHandleSourceBarrier();
     if (!task_status_.ok()) return true;
@@ -605,7 +494,8 @@ class Task : public Schedulable {
     for (int i = 0; i < kPollsPerMorsel; ++i) {
       Result<SourcePoll> polled = source->Poll(&ctx);
       if (!polled.ok()) {
-        // Fail() keeps the first error, exactly like RunSource.
+        // Fail() keeps the first error: a fault recorded mid-Emit wins over
+        // whatever the source returned in response to the rejected Emit.
         Fail(polled.status());
         return true;
       }
@@ -614,8 +504,9 @@ class Task : public Schedulable {
         case SourcePoll::kHasMore:
           break;
         case SourcePoll::kIdle:
-          // Same contract as the thread-mode idle loop (HandleIdle): flush
-          // staged output and service barriers before going quiet.
+          // An idle source must not sit on staged records or partially
+          // filled output buffers (downstream would starve), and must
+          // service pending barriers before going quiet.
           FlushSourceBatch();
           FlushAllBuffers();
           MaybeHandleSourceBarrier();
@@ -633,9 +524,10 @@ class Task : public Schedulable {
     return true;
   }
 
-  /// Exhaustion/cancellation epilogue, exactly RunSource()'s tail. Returns
-  /// false after marking the task done; true on failure (the Step wrapper
-  /// takes the abort path).
+  /// Exhaustion/cancellation epilogue: flush, service a checkpoint
+  /// triggered while the source was finishing, then end the stream.
+  /// Returns false after marking the task done; true on failure (the Step
+  /// wrapper takes the abort path).
   bool FinishSource() {
     FlushSourceBatch();
     if (!task_status_.ok()) return true;
@@ -688,6 +580,11 @@ class Task : public Schedulable {
     job_->TaskFinished();
   }
 
+  /// Pops and dispatches up to `budget` events from channel `c`. A channel
+  /// is skipped while it is closed or already aligned for the in-flight
+  /// barrier: its producer simply backs up -- that IS the alignment, no
+  /// stashing needed, because each producer owns exactly one channel into
+  /// this task.
   size_t DrainChannel(size_t c, size_t budget) {
     size_t drained = 0;
     StreamEvent ev;
@@ -721,33 +618,19 @@ class Task : public Schedulable {
                     "close of '" + op->Name() + "' failed: " + st.message()));
       }
     }
-    if (!task_status_.ok()) return;  // Run() takes the abort path
+    if (!task_status_.ok()) return;  // Step takes the abort path
     Broadcast(StreamEvent::EndOfStream());
   }
 
   void Dispatch(int c, StreamEvent&& event) {
     switch (event.kind) {
-      case StreamEvent::Kind::kRecord:
-        records_in_->Increment();
-        DeliverRecord(channel_ordinal[c], std::move(event.record));
-        break;
       case StreamEvent::Kind::kBatch:
         records_in_->Increment(event.batch.size());
-        if (batch_path_) {
-          // Batch-at-a-time: the whole event flows through the operator
-          // chain in one ProcessBatch call per hop. Most batch overrides
-          // transform in place, so `event.batch` usually keeps its
-          // identity (and capacity) all the way through and gets recycled
-          // below.
-          DeliverBatch(channel_ordinal[c], std::move(event.batch));
-        } else {
-          // lint:allow(virtual-per-record-loop): per-record path kept for
-          // fault injection (per-record fault-hit accounting)
-          for (Record& r : event.batch) {
-            if (!task_status_.ok()) break;  // crash-like: drop the rest
-            DeliverRecord(channel_ordinal[c], std::move(r));
-          }
-        }
+        // The whole event flows through the operator chain in one
+        // ProcessBatch call per hop. Most batch overrides transform in
+        // place, so `event.batch` usually keeps its identity (and
+        // capacity) all the way through and gets recycled below.
+        DeliverBatch(channel_ordinal[c], std::move(event.batch));
         // Hand the drained buffer back to the producer for reuse; if the
         // recycle ring is full the vector just frees here.
         event.batch.clear();
@@ -773,20 +656,11 @@ class Task : public Schedulable {
     }
   }
 
-  void DeliverRecord(int ordinal, Record&& record) {
-    if (ops.empty()) {
-      RouteRecord(std::move(record));
-      return;
-    }
-    // ops[0] is chain element 0 of an operator task, element 1 behind a
-    // source (element 0 is the source itself, injected in Emit).
-    if (!InjectFault(is_source ? 1 : 0)) return;
-    ops[0]->ProcessRecord(ordinal, std::move(record), collectors_[0].get());
-  }
-
-  /// Batch-path twin of DeliverRecord: hands the whole batch to the chain
-  /// head in one call. The head element's fault site fires via a span
-  /// probe with per-record hit accounting (see ChainCollector::EmitBatch).
+  /// Hands a whole batch to the chain head in one call. ops[0] is chain
+  /// element 0 of an operator task, element 1 behind a source (element 0
+  /// is the source itself, probed in Emit). The head element's fault site
+  /// fires via a span probe with per-record hit accounting (see
+  /// ChainCollector::EmitBatch).
   void DeliverBatch(int ordinal, std::vector<Record>&& batch) {
     if (batch.empty()) return;
     if (ops.empty()) {
@@ -814,18 +688,14 @@ class Task : public Schedulable {
   /// every control event (watermark, barrier, idle, end of input) so
   /// batching never reorders records against control flow.
   void BufferSourceRecord(Record&& record) {
-    if (!batch_path_) {
-      DeliverRecord(0, std::move(record));
-      return;
-    }
     source_batch_.push_back(std::move(record));
     if (source_batch_.size() >= batch_size) FlushSourceBatch();
   }
 
   /// Span twin of BufferSourceRecord: appends a contiguous run of records
-  /// to the pending source batch, flushing at batch-size boundaries. Only
-  /// reached with batch_path_ set. The inner loop is just a move per
-  /// record -- no per-record virtual dispatch or status checks.
+  /// to the pending source batch, flushing at batch-size boundaries. The
+  /// inner loop is just a move per record -- no per-record virtual
+  /// dispatch or status checks.
   void BufferSourceSpan(Record* records, size_t n) {
     size_t i = 0;
     while (i < n) {
@@ -1003,8 +873,8 @@ class Task : public Schedulable {
   }
 
   /// Records the first failure; later ones lose (user code downstream of a
-  /// fault often fails too, with less interesting errors). Task thread
-  /// only.
+  /// fault often fails too, with less interesting errors).
+  /// Task-serialized, like all non-atomic task state.
   void Fail(Status st) {
     if (task_status_.ok() && !st.ok()) task_status_ = std::move(st);
   }
@@ -1023,8 +893,8 @@ class Task : public Schedulable {
   }
 
   /// Applies a span fault after its passed prefix was processed, exactly
-  /// where the per-record path would have: kThrow leaves by exception
-  /// (like OnHit), kStatus fails the task (like InjectFault).
+  /// where record-by-record delivery would have: kThrow leaves by
+  /// exception (like OnHit), kStatus fails the task (like InjectFault).
   void RaiseSpanFault(FaultInjector::SpanFault&& fault) {
     if (fault.kind == FaultInjector::FaultKind::kThrow) {
       throw std::runtime_error(fault.message);
@@ -1034,10 +904,9 @@ class Task : public Schedulable {
 
   /// Crash-like teardown after a failure, first half: drop buffered
   /// (uncommitted) output and push end-of-stream so downstream tasks
-  /// terminate. The drain that follows (StepAbort morsels, or the blocking
-  /// loop in AbortAndDrain for thread-per-task mode) is what unblocks
-  /// upstream tasks backed up on a full ring; without it a failed consumer
-  /// would deadlock its producers.
+  /// terminate. The drain that follows (StepAbort morsels) is what
+  /// unblocks upstream tasks backed up on a full ring; without it a failed
+  /// consumer would stall its producers forever.
   void BeginAbort() {
     source_batch_.clear();  // uncommitted, dropped like buffered output
     for (OutputEdge& edge : outputs) {
@@ -1069,35 +938,6 @@ class Task : public Schedulable {
     }
     if (open_channels_ == 0) return FinishMorsel();
     return drained > 0;
-  }
-
-  void AbortAndDrain() {
-    BeginAbort();
-    size_t idle_spins = 0;
-    StreamEvent ev;
-    while (open_channels_ > 0) {
-      size_t drained = 0;
-      for (size_t c = 0; c < inputs.size(); ++c) {
-        while (channel_open_[c] && inputs[c]->events.TryPop(&ev)) {
-          if (ev.kind == StreamEvent::Kind::kEndOfStream) {
-            channel_open_[c] = false;
-            --open_channels_;
-          }
-          ++drained;
-        }
-      }
-      if (drained > 0) {
-        idle_spins = 0;
-        continue;
-      }
-      if (idle_spins < idle_spin_budget) {
-        ++idle_spins;
-        std::this_thread::yield();
-        continue;
-      }
-      idle_spins = 0;
-      doorbell.Park([this] { return AnyInputReady(); });
-    }
   }
 
   void RouteRecord(Record&& record) {
@@ -1263,13 +1103,12 @@ class Task : public Schedulable {
     if (target.buffer.size() >= batch_size) FlushTarget(&target);
   }
 
-  /// Ships one event into a downstream channel. Thread-per-task mode
-  /// blocks inside Push (the producer owns a whole thread). A scheduler
-  /// task must never block a worker -- and must not run other tasks from
-  /// inside a push either: "helping" suspends this task mid-Step while it
-  /// still holds its run-once claim, and any helped task that then blocks
-  /// on a channel only this suspended task can drain deadlocks the whole
-  /// stack (suspended claims put cycles in the wait graph even though the
+  /// Ships one event into a downstream channel. A task must never block a
+  /// worker -- and must not run other tasks from inside a push either:
+  /// "helping" suspends this task mid-Step while it still holds its
+  /// run-once claim, and any helped task that then blocks on a channel
+  /// only this suspended task can drain deadlocks the whole stack
+  /// (suspended claims put cycles in the wait graph even though the
   /// dataflow itself is acyclic). Instead a full ring stashes the event
   /// in the per-target overflow queue and the task simply reschedules:
   /// its morsel loop stops consuming input and re-offers the overflow
@@ -1278,15 +1117,10 @@ class Task : public Schedulable {
   /// thread, which is what makes workers < tasks deadlock-free.
   void PushEvent(OutputTarget& target, StreamEvent&& event) {
     InputChannel* ch = target.channel;
-    if (!scheduler_mode_) {
-      // analyzer:allow(block-in-morsel): thread-per-task mode owns the thread; blocking push is its backpressure
-      ch->events.Push(std::move(event));
-      return;
-    }
     if (target.overflow.empty() && ch->events.TryPush(std::move(event))) {
       return;
     }
-    if (ch->events.closed()) return;  // dropped, like Push on a closed channel
+    if (ch->events.closed()) return;  // dropped: the consumer is gone
     target.overflow.push_back(std::move(event));
     overflow_pending_ = true;
   }
@@ -1300,7 +1134,7 @@ class Task : public Schedulable {
         std::deque<StreamEvent>& q = target.overflow;
         while (!q.empty()) {
           if (target.channel->events.closed()) {
-            q.clear();  // dropped, like Push on a closed channel
+            q.clear();  // dropped: the consumer is gone
             break;
           }
           if (!target.channel->events.TryPush(std::move(q.front()))) break;
@@ -1372,8 +1206,8 @@ class Task : public Schedulable {
   int open_channels_ = 0;
   Timestamp task_wm_ = kMinTimestamp;
   // First failure of this task (user-code error Status, injected fault, or
-  // caught exception). Task thread only; reported to the Job once, at the
-  // end of Run().
+  // caught exception). Reported to the Job once, by the Step that first
+  // sees it.
   Status task_status_;
   bool aligning_ = false;
   uint64_t barrier_id_ = 0;
@@ -1383,8 +1217,8 @@ class Task : public Schedulable {
   uint64_t chain_parent_cp_ = 0;
   std::atomic<uint64_t> pending_barrier_{0};
 
-  // Scheduler-mode push notifications: marks this task runnable on the
-  // pool. Wake() is called by producers from arbitrary workers.
+  // Push notifications: marks this task runnable on the pool. Wake() is
+  // called by producers from arbitrary workers.
   class NotifyWaker : public Waker {
    public:
     void Wake() override { pool->Notify(task); }
@@ -1392,9 +1226,9 @@ class Task : public Schedulable {
     Schedulable* task = nullptr;
   };
 
-  // Morsel-mode lifecycle: kPhaseRunning covers the normal body, a failure
-  // switches to kPhaseAborting (EOS sent, draining inputs), kPhaseDone
-  // tasks refuse further morsels. Atomic only because the idle-source
+  // Lifecycle: kPhaseRunning covers the normal body, a failure switches
+  // to kPhaseAborting (EOS sent, draining inputs), kPhaseDone tasks
+  // refuse further morsels. Atomic only because the idle-source
   // timer reads done() from the timer thread; transitions happen on the
   // task's (serialized) morsels.
   static constexpr uint8_t kPhaseRunning = 0;
@@ -1403,7 +1237,6 @@ class Task : public Schedulable {
   std::atomic<uint8_t> phase_{kPhaseRunning};
   // Total Step() invocations; stall-dump diagnostics only.
   std::atomic<uint64_t> debug_steps_{0};
-  bool scheduler_mode_ = false;
   // True while any OutputTarget::overflow is non-empty; the task's morsel
   // loop stops consuming input until FlushOverflow drains everything
   // (task-serialized, like all non-atomic task state).
@@ -1417,9 +1250,8 @@ class Task : public Schedulable {
   bool finishing_ = false;
   NotifyWaker notify_waker_;
 
-  // Batch-at-a-time execution (see Init). source_batch_ accumulates source
-  // emits; its capacity survives every flush (task thread only).
-  bool batch_path_ = false;
+  // Source-side staging (see BufferSourceRecord): accumulates source
+  // emits; its capacity survives every flush (task-serialized).
   std::vector<Record> source_batch_;
 
   // Batched metric state (task thread only; see RouteRecord).
@@ -1506,7 +1338,6 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
         task->ops.push_back(graph.node(members[i]).op_factory());
       }
       task->batch_size = std::max<size_t>(options.batch_size, 1);
-      task->idle_spin_budget = options.idle_spin_budget;
       task->injector = options.fault_injector.get();
       task->sites.push_back(
           (head_node.is_source ? "source:" : "op:") + head_node.name);
@@ -1543,7 +1374,7 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
         // Dedicated SPSC channel: upstream subtask s is its only producer,
         // downstream task t its only consumer.
         down->inputs.push_back(std::make_unique<internal::InputChannel>(
-            options.channel_capacity, &down->doorbell));
+            options.channel_capacity));
       }
     }
     for (size_t s = 0; s < up_tasks.size(); ++s) {
@@ -1598,20 +1429,17 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
     job->coordinator_ = std::make_unique<CheckpointCoordinator>(
         job->snapshot_store_.get(), static_cast<int>(job->tasks_.size()),
         job->snapshot_store_->MaxCheckpointId() + 1);
-    const bool scheduled =
-        options.execution_mode == JobOptions::ExecutionMode::kScheduler;
     Job* j = job.get();
     for (auto& task : job->tasks_) {
       if (task->is_source) {
         internal::Task* t = task.get();
-        job->coordinator_->RegisterSourceTrigger(
-            [t, j, scheduled](uint64_t id) {
-              t->RequestBarrier(id);
-              // Scheduler mode: an idle source won't poll on its own, so
-              // nudge it -- barrier latency becomes one morsel instead of
-              // waiting for the 1 ms re-poll timer.
-              if (scheduled && j->started_.load()) j->pool_->Notify(t);
-            });
+        job->coordinator_->RegisterSourceTrigger([t, j](uint64_t id) {
+          t->RequestBarrier(id);
+          // An idle source won't poll on its own, so nudge it -- barrier
+          // latency becomes one morsel instead of waiting for the 1 ms
+          // re-poll timer.
+          if (j->started_.load()) j->pool_->Notify(t);
+        });
       }
     }
   }
@@ -1633,22 +1461,12 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
     }
   }
 
-  // 7) The scheduler. In thread-per-task mode the pool is timer-only: no
-  // workers, but the checkpoint cadence still runs on its timer thread.
-  {
-    WorkStealingPool::Options popts;
-    if (options.execution_mode == JobOptions::ExecutionMode::kScheduler) {
-      popts.num_workers = options.worker_threads;  // 0 = hardware
-    } else {
-      popts.timer_only = true;
-    }
-    job->pool_ = std::make_unique<WorkStealingPool>(std::move(popts));
-    if (options.execution_mode == JobOptions::ExecutionMode::kScheduler) {
-      for (auto& task : job->tasks_) {
-        task->AttachScheduler(job->pool_.get());
-      }
-    }
-  }
+  // 7) The scheduler: worker pool plus the timer thread that drives the
+  // checkpoint cadence and idle-source re-polls.
+  WorkStealingPool::Options popts;
+  popts.num_workers = options.worker_threads;  // 0 = hardware
+  job->pool_ = std::make_unique<WorkStealingPool>(std::move(popts));
+  for (auto& task : job->tasks_) task->AttachScheduler(job->pool_.get());
   return job;
 }
 
@@ -1657,32 +1475,25 @@ Status Job::Start() {
     return Status::FailedPrecondition("job already started");
   }
   start_time_ = std::chrono::steady_clock::now();
-  if (options_.execution_mode == JobOptions::ExecutionMode::kScheduler) {
-    {
-      MutexLock lock(&done_mu_);
-      live_tasks_ = tasks_.size();
-    }
-    // Every task gets an initial morsel; operator tasks find their
-    // channels empty and go idle until a producer pushes.
-    for (auto& task : tasks_) {
-      pool_->Notify(task.get());
-    }
-    // Idle sources are re-polled on a timer: external input (logs, gates)
-    // can arrive without any channel push to notify them, pending
-    // checkpoint barriers must be serviced while no records flow, and
-    // cancellation must reach a quiet source.
-    source_poll_timer_id_ = pool_->ScheduleRepeating(1, [this] {
-      if (finished_.load()) return;
-      for (auto& task : tasks_) {
-        if (task->is_source && !task->done()) pool_->Notify(task.get());
-      }
-    });
-  } else {
-    threads_.reserve(tasks_.size());
-    for (auto& task : tasks_) {
-      threads_.emplace_back([t = task.get()] { t->Run(); });
-    }
+  {
+    MutexLock lock(&done_mu_);
+    live_tasks_ = tasks_.size();
   }
+  // Every task gets an initial morsel; operator tasks find their channels
+  // empty and go idle until a producer pushes.
+  for (auto& task : tasks_) {
+    pool_->Notify(task.get());
+  }
+  // Idle sources are re-polled on a timer: external input (logs, gates)
+  // can arrive without any channel push to notify them, pending checkpoint
+  // barriers must be serviced while no records flow, and cancellation must
+  // reach a quiet source.
+  source_poll_timer_id_ = pool_->ScheduleRepeating(1, [this] {
+    if (finished_.load()) return;
+    for (auto& task : tasks_) {
+      if (task->is_source && !task->done()) pool_->Notify(task.get());
+    }
+  });
   if (options_.checkpoint_interval_ms > 0) {
     last_cp_time_ = start_time_;
     checkpoint_timer_id_ = pool_->ScheduleRepeating(
@@ -1717,7 +1528,7 @@ Status Job::AwaitCompletion() {
   if (!started_.load()) {
     return Status::FailedPrecondition("job not started");
   }
-  if (options_.execution_mode == JobOptions::ExecutionMode::kScheduler) {
+  {
     // Optional stall diagnostics: with STREAMLINE_STALL_DUMP_SECS=N set,
     // a job whose live-task count stops moving for N seconds dumps every
     // task's scheduling state to stderr (and keeps dumping every N
@@ -1732,8 +1543,8 @@ Status Job::AwaitCompletion() {
     size_t last_seen = live_tasks_;
     auto last_change = std::chrono::steady_clock::now();
     while (live_tasks_ > 0) {
-      // Timed backstop, same philosophy as Doorbell: a (theoretical) lost
-      // wakeup costs one period, not a hang.
+      // Timed backstop: a (theoretical) lost wakeup costs one period, not a
+      // hang.
       done_cv_.WaitFor(&done_mu_, std::chrono::milliseconds(10));
       if (dump_secs <= 0) continue;
       const auto now = std::chrono::steady_clock::now();
@@ -1766,11 +1577,6 @@ Status Job::AwaitCompletion() {
         std::fputs(dump.c_str(), stderr);
       }
     }
-  } else {
-    // lint:allow(raw-thread): joining thread-per-task mode's task threads
-    for (std::thread& t : threads_) {
-      if (t.joinable()) t.join();
-    }
   }
   finished_.store(true);
   if (checkpoint_timer_id_ != 0) {
@@ -1789,7 +1595,6 @@ Status Job::AwaitCompletion() {
 }
 
 void Job::ExportSchedulerMetrics() {
-  if (pool_ == nullptr || pool_->num_workers() == 0) return;
   const SchedulerCounters& c = pool_->counters();
   auto set = [this](const std::string& name, double v) {
     metrics_.GetGauge("scheduler." + name)->Set(v);
@@ -1799,7 +1604,6 @@ void Job::ExportSchedulerMetrics() {
   set("morsels_local", static_cast<double>(c.morsels_local.load(rel)));
   set("morsels_stolen", static_cast<double>(c.morsels_stolen.load(rel)));
   set("morsels_injected", static_cast<double>(c.morsels_injected.load(rel)));
-  set("morsels_inline", static_cast<double>(c.morsels_inline.load(rel)));
   set("steals", static_cast<double>(c.steals.load(rel)));
   set("parks", static_cast<double>(c.parks.load(rel)));
   set("wakeups", static_cast<double>(c.wakeups.load(rel)));

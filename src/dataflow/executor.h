@@ -5,7 +5,6 @@
 #include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -24,36 +23,23 @@ class Task;
 
 /// Execution knobs of a job.
 struct JobOptions {
-  /// How physical tasks get CPU time.
-  enum class ExecutionMode {
-    /// Morsel-driven scheduling (default): all tasks are multiplexed over
-    /// a fixed work-stealing worker pool sized to `worker_threads`, so
-    /// parallelism above the core count adds logical key-groups, not OS
-    /// threads.
-    kScheduler,
-    /// Legacy: one dedicated OS thread per physical task. Kept as the
-    /// equivalence baseline and for A/B benchmarking.
-    kThreadPerTask,
-  };
-  ExecutionMode execution_mode = ExecutionMode::kScheduler;
-  /// Worker threads of the scheduler pool; 0 = hardware_concurrency().
-  /// Ignored in thread-per-task mode.
+  /// Worker threads of the morsel scheduler; 0 = hardware_concurrency().
+  /// All tasks are multiplexed over this fixed work-stealing pool, so
+  /// parallelism above the core count adds logical key-groups, not OS
+  /// threads.
   size_t worker_threads = 0;
   /// Event capacity of each input channel. Every (upstream subtask,
   /// downstream subtask) pair gets its own single-producer/single-consumer
   /// ring of this many events (an event is usually a whole record batch);
-  /// a full ring blocks its producer, which is the engine's backpressure
+  /// a full ring stalls its producer -- the task stops consuming input
+  /// until the consumer makes room -- which is the engine's backpressure
   /// mechanism. Rounded up to a power of two.
   size_t channel_capacity = 256;
-  /// Records buffered per output channel before a batch is shipped
-  /// ("network buffers"); watermarks, barriers and end-of-stream flush
-  /// eagerly, so batching never delays control events. 1 disables batching.
+  /// Records per batch: sources stage and output channels buffer this many
+  /// records before a batch moves on ("network buffers"); watermarks,
+  /// barriers and end-of-stream flush eagerly, so batching never delays
+  /// control events. 1 ships every record as a batch of one.
   size_t batch_size = 256;
-  /// Empty poll-loop passes an operator task makes over its input channels
-  /// (yielding between passes) before parking on its doorbell. Small by
-  /// default: parked consumers cost nothing, and on busy hosts the
-  /// producer needs the core more than the consumer needs the spin.
-  size_t idle_spin_budget = 64;
   /// Fuse forward-connected same-parallelism operators into one task
   /// (operator chaining).
   bool enable_chaining = true;
@@ -83,11 +69,11 @@ struct JobOptions {
   std::shared_ptr<FaultInjector> fault_injector;
 };
 
-/// A deployed dataflow job: one thread per physical task, channels with
-/// backpressure between them. The same Job runs bounded inputs ("data at
-/// rest": Run() returns when every source is exhausted) and unbounded
-/// inputs ("data in motion": run until Cancel()) -- the paper's single
-/// pipelined engine for both.
+/// A deployed dataflow job: physical tasks multiplexed over a
+/// work-stealing worker pool, channels with backpressure between them. The
+/// same Job runs bounded inputs ("data at rest": Run() returns when every
+/// source is exhausted) and unbounded inputs ("data in motion": run until
+/// Cancel()) -- the paper's single pipelined engine for both.
 class Job {
  public:
   ~Job();
@@ -100,7 +86,7 @@ class Job {
   Job(const Job&) = delete;
   Job& operator=(const Job&) = delete;
 
-  /// Launches all task threads.
+  /// Schedules every task on the worker pool.
   Status Start();
   /// Blocks until every task finished (end of bounded input, after
   /// Cancel(), or after a task failure). Returns the first task failure --
@@ -124,8 +110,7 @@ class Job {
   std::string PlanDescription() const;
   /// Job-scoped metrics (task record counters etc.).
   MetricsRegistry* metrics() { return &metrics_; }
-  /// The worker pool executing this job (timer-only in thread-per-task
-  /// mode). Valid for the job's lifetime.
+  /// The worker pool executing this job. Valid for the job's lifetime.
   const WorkStealingPool* scheduler() const { return pool_.get(); }
 
   /// First task failure so far (Ok if none). Thread-safe.
@@ -136,14 +121,14 @@ class Job {
 
   friend class internal::Task;
 
-  /// Called from a failing task thread: records the first failure and
+  /// Called from a failing task's morsel: records the first failure and
   /// cancels the job so the pipeline drains.
   void ReportTaskFailure(const std::string& task_name, const Status& status);
 
-  /// Called by a task's final morsel (scheduler mode): decrements the live
-  /// count and wakes AwaitCompletion.
+  /// Called by a task's final morsel: decrements the live count and wakes
+  /// AwaitCompletion.
   void TaskFinished();
-  /// Periodic checkpoint trigger (pool timer thread, both modes).
+  /// Periodic checkpoint trigger (pool timer thread).
   void CheckpointTick();
   /// Copies scheduler counters/gauges into the job metrics registry.
   void ExportSchedulerMetrics();
@@ -152,22 +137,16 @@ class Job {
   std::shared_ptr<SnapshotStore> snapshot_store_;
   std::unique_ptr<CheckpointCoordinator> coordinator_;
   std::vector<std::unique_ptr<internal::Task>> tasks_;
-  // Legacy thread-per-task mode only: one dedicated thread per task is
-  // the point of the equivalence baseline.
-  // lint:allow(raw-thread): thread-per-task equivalence baseline
-  std::vector<std::thread> threads_;
-  // The scheduler (worker pool + timer facility). In thread-per-task mode
-  // the pool is timer-only: no workers, but the checkpoint cadence still
-  // runs on its timer thread. Declared after tasks_ so it is destroyed
-  // (workers joined) first.
+  // The scheduler (worker pool + timer facility). Declared after tasks_ so
+  // it is destroyed (workers joined) first.
   std::unique_ptr<WorkStealingPool> pool_;
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> started_{false};
   std::atomic<bool> finished_{false};
   mutable Mutex failure_mu_;
   Status first_failure_ STREAMLINE_GUARDED_BY(failure_mu_);
-  // Scheduler-mode completion tracking: tasks finish on pool workers, so
-  // AwaitCompletion blocks on a condvar instead of joining threads.
+  // Completion tracking: tasks finish on pool workers, so AwaitCompletion
+  // blocks on a condvar.
   mutable Mutex done_mu_;
   CondVar done_cv_;
   size_t live_tasks_ STREAMLINE_GUARDED_BY(done_mu_) = 0;

@@ -230,7 +230,7 @@ class SinkOperator : public Operator {
   }
   /// One virtual ProcessBatch per batch; sink_->Invoke is the only
   /// indirect call left per record. A mid-batch failure throws and drops
-  /// the rest of the batch, exactly like the per-record path.
+  /// the rest of the batch, exactly like ProcessRecord would.
   void ProcessBatch(int, std::vector<Record>&& batch, Collector*) override {
     for (const Record& record : batch) {
       const Status st = sink_->Invoke(record);

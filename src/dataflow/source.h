@@ -1,11 +1,9 @@
 #ifndef STREAMLINE_DATAFLOW_SOURCE_H_
 #define STREAMLINE_DATAFLOW_SOURCE_H_
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,7 +14,7 @@
 
 namespace streamline {
 
-/// Handed to SourceFunction::Run; the source pushes records and watermarks
+/// Handed to SourceFunction::Poll; the source pushes records and watermarks
 /// through it. Emit() doubles as the cancellation and checkpoint point: the
 /// runtime injects pending checkpoint barriers between two emissions, which
 /// is what makes source offsets consistent with downstream state.
@@ -49,8 +47,7 @@ class SourceContext {
   /// empty (usually with its capacity preserved -- the engine threads the
   /// same vector through the chain), so a source can stage into one
   /// scratch buffer and reuse it every batch. Stage at most
-  /// PreferredBatchSize() records per call; with a preferred size of 1
-  /// use plain Emit() instead.
+  /// PreferredBatchSize() records per call.
   virtual bool EmitBatch(std::vector<Record>&& batch) {
     for (Record& r : batch) {
       if (!Emit(std::move(r))) {
@@ -63,18 +60,13 @@ class SourceContext {
   }
 
   /// How many records the engine would like per EmitBatch call: the job's
-  /// configured batch size on the batch path, 1 when the engine runs
-  /// record-at-a-time (then EmitBatch gains nothing over Emit).
+  /// configured batch size. The default of 1 suits contexts outside the
+  /// engine (tests, adapters).
   virtual size_t PreferredBatchSize() const { return 1; }
 
   /// Emits an event-time watermark: a promise that all records emitted
   /// later have ts >= wm.
   virtual void EmitWatermark(Timestamp wm) = 0;
-
-  /// Sources that wait for external input (empty queue/log/socket) must
-  /// call this periodically from their idle loop: it lets the runtime
-  /// inject pending checkpoint barriers even though no records flow.
-  virtual void HandleIdle() = 0;
 
   virtual bool IsCancelled() const = 0;
 };
@@ -95,11 +87,11 @@ enum class SourcePoll {
 /// A data source, written as a step function: each Poll() emits a bounded
 /// amount of data -- at most about one batch -- and returns, keeping all
 /// read position in member state (which is also what the checkpoint hooks
-/// serialize). The engine drives Poll differently per execution mode: the
-/// morsel scheduler runs a few polls per morsel and re-schedules, while
-/// thread-per-task mode loops Poll on a dedicated thread via Run(). The
-/// engine makes no other distinction between batch and streaming; an
-/// unbounded source simply never returns kExhausted.
+/// serialize). The morsel scheduler runs a few polls per morsel and
+/// re-schedules; after kIdle it flushes staged output, services pending
+/// checkpoint barriers and re-polls on a short timer. The engine makes no
+/// other distinction between batch and streaming; an unbounded source
+/// simply never returns kExhausted.
 class SourceFunction {
  public:
   virtual ~SourceFunction() = default;
@@ -107,28 +99,6 @@ class SourceFunction {
   /// Emits at most about one batch. When an Emit/EmitSpan/EmitBatch call
   /// returns false (cancellation), stop emitting and return kExhausted.
   virtual Result<SourcePoll> Poll(SourceContext* ctx) = 0;
-
-  /// Drives Poll() to exhaustion or cancellation on the calling thread
-  /// (thread-per-task mode). Non-virtual: sources implement Poll only.
-  Status Run(SourceContext* ctx) {
-    for (;;) {
-      if (ctx->IsCancelled()) return Status::Ok();
-      Result<SourcePoll> polled = Poll(ctx);
-      if (!polled.ok()) return polled.status();
-      switch (*polled) {
-        case SourcePoll::kHasMore:
-          break;
-        case SourcePoll::kIdle:
-          // HandleIdle lets the runtime inject pending checkpoint barriers
-          // while no records flow; the sleep bounds the re-poll spin.
-          ctx->HandleIdle();
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          break;
-        case SourcePoll::kExhausted:
-          return Status::Ok();
-      }
-    }
-  }
 
   /// Checkpoint hooks: serialize the read position so a restored job
   /// resumes exactly where the snapshot was taken.

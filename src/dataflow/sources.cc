@@ -65,26 +65,14 @@ Result<SourcePoll> GeneratorSource::Poll(SourceContext* ctx) {
   // which is all the checkpoint records.
   const uint64_t until_wm =
       watermark_every_ > 0 ? watermark_every_ - seq_ % watermark_every_ : 0;
-  const size_t preferred = ctx->PreferredBatchSize();
-  if (preferred <= 1) {
-    // Record-at-a-time engine: one Emit per poll.
-    std::optional<Record> r = fn_(seq_);
-    if (!r.has_value()) return SourcePoll::kExhausted;
-    const Timestamp ts = r->timestamp;
-    // Emit first, increment after (see VectorSource::Poll).
-    if (!ctx->Emit(std::move(*r))) return SourcePoll::kExhausted;
-    ++seq_;
-    if (watermark_every_ > 0 && until_wm == 1) ctx->EmitWatermark(ts);
-    return SourcePoll::kHasMore;
-  }
-  // Batch engine: stage one batch in the reused scratch buffer and hand it
-  // over whole -- the per-emission bookkeeping (virtual dispatch, barrier
-  // and cancellation checks) is paid once per batch. seq_ advances only
+  // Stage one batch in the reused scratch buffer and hand it over whole --
+  // the per-emission bookkeeping (virtual dispatch, barrier and
+  // cancellation checks) is paid once per batch. seq_ advances only
   // after EmitBatch returns, so a barrier snapshot taken at the batch
   // boundary records the first unemitted sequence number and a restored
   // job regenerates exactly the unemitted suffix (fn_ is a pure function
   // of seq).
-  uint64_t span = preferred;
+  uint64_t span = std::max<size_t>(ctx->PreferredBatchSize(), 1);
   if (watermark_every_ > 0) span = std::min<uint64_t>(span, until_wm);
   scratch_.reserve(span);
   bool exhausted = false;
@@ -103,7 +91,8 @@ Result<SourcePoll> GeneratorSource::Poll(SourceContext* ctx) {
     seq_ += n;
     if (watermark_every_ > 0 && until_wm == n) {
       // The batch ended exactly at the cadence point, so the last record
-      // is the cadence record -- same watermark the per-record path emits.
+      // is the cadence record -- same watermark a record-by-record source
+      // emits.
       ctx->EmitWatermark(last_ts);
     }
   }

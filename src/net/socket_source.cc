@@ -203,8 +203,9 @@ void SocketIngest::CloseConn(int fd) {
 
 bool SocketIngest::PopBatch(std::vector<Record>* out) {
   if (!ring_.TryPop(out)) return false;
-  // Doorbell: the pop just made room; re-arm any TCP-window-paused
-  // connection. One Post per full->non-full transition, not per batch.
+  // The pop just made room: post to the loop's eventfd to re-arm any
+  // TCP-window-paused connection. One Post per full->non-full transition,
+  // not per batch.
   if (any_paused_.load(std::memory_order_acquire) &&
       !resume_posted_.exchange(true, std::memory_order_acq_rel)) {
     loop_->Post([this] {

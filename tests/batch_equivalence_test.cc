@@ -1,7 +1,7 @@
 // Batch-at-a-time execution must be invisible: for every built-in operator
-// and pipeline shape, running the same input with batch_size = 1 (the
-// per-record path) and with larger batch sizes (the ProcessBatch path) must
-// produce identical sink output -- same records, same order, same
+// and pipeline shape, running the same input with batch_size = 1 (batches
+// of one record) and with larger batch sizes must produce identical sink
+// output -- same records, same order, same
 // timestamps, same stamped key hashes -- with watermarks and barriers never
 // reordered relative to the records batched around them. Also holds the
 // regression test for the FieldVec self-range insert fix.
@@ -353,7 +353,7 @@ TEST(BatchControlOrderingTest, BarriersFlushBatchesAndStayAligned) {
   // Checkpoints run concurrently with batched delivery; barrier offsets
   // recorded by the sink must be consistent cut points (monotone in
   // checkpoint id, within the output), and the output itself must match
-  // the per-record run exactly.
+  // the batch_size = 1 run exactly.
   constexpr uint64_t kRecords = 60'000;
   const PipelineFn build = [](Environment& env) {
     return env

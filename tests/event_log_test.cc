@@ -112,7 +112,7 @@ TEST(EventLogTest, ExactlyOnceRestoreFromOffsets) {
   };
 
   // Run 1: consume the first 800 records, checkpoint while the source
-  // idles on the open log (barriers are serviced via HandleIdle), then let
+  // idles on the open log (idle sources still service barriers), then let
   // the rest of the log arrive and run to completion.
   auto store = std::make_shared<SnapshotStore>();
   uint64_t cp = 0;

@@ -10,6 +10,16 @@
 namespace streamline {
 namespace {
 
+// Polls a bounded source until it reports kExhausted (or fails), the way
+// the engine drives it.
+Status PollUntilExhausted(SourceFunction* source, SourceContext* ctx) {
+  for (;;) {
+    Result<SourcePoll> polled = source->Poll(ctx);
+    if (!polled.ok()) return polled.status();
+    if (*polled == SourcePoll::kExhausted) return Status::Ok();
+  }
+}
+
 class IoTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
@@ -157,7 +167,6 @@ TEST_F(IoTest, SourceOffsetCheckpointable) {
       return records.size() < stop_after_;
     }
     void EmitWatermark(Timestamp) override {}
-    void HandleIdle() override {}
     bool IsCancelled() const override { return false; }
     std::vector<Record> records;
 
@@ -165,7 +174,7 @@ TEST_F(IoTest, SourceOffsetCheckpointable) {
     uint64_t stop_after_;
   };
   CountingCtx first(6);
-  ASSERT_TRUE(source.Run(&first).ok());
+  ASSERT_TRUE(PollUntilExhausted(&source, &first).ok());
   ASSERT_EQ(first.records.size(), 6u);
   BinaryWriter w;
   ASSERT_TRUE(source.SnapshotState(&w).ok());
@@ -174,7 +183,7 @@ TEST_F(IoTest, SourceOffsetCheckpointable) {
   BinaryReader r(w.buffer());
   ASSERT_TRUE(restored.RestoreState(&r).ok());
   CountingCtx rest(100);
-  ASSERT_TRUE(restored.Run(&rest).ok());
+  ASSERT_TRUE(PollUntilExhausted(&restored, &rest).ok());
   // Emit returned false after record 6 BEFORE pos_ was bumped, so the
   // restored source re-reads that record: lines 5..9.
   ASSERT_EQ(rest.records.size(), 5u);
@@ -194,10 +203,9 @@ TEST_F(IoTest, MalformedLineFailsTheSource) {
    public:
     bool Emit(Record&&) override { return true; }
     void EmitWatermark(Timestamp) override {}
-    void HandleIdle() override {}
     bool IsCancelled() const override { return false; }
   } ctx;
-  const Status st = source.Run(&ctx);
+  const Status st = PollUntilExhausted(&source, &ctx);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find(":1:"), std::string::npos) << st.ToString();
 }

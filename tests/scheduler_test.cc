@@ -2,8 +2,8 @@
 // (stealing, park/unpark, notify coalescing, shutdown with queued morsels,
 // timers), job-level integration (exact thread count, barrier alignment
 // with fewer workers than tasks -- the starvation regression), and
-// byte-identical equivalence between scheduler mode and the legacy
-// thread-per-task baseline, including across checkpoint/restore.
+// byte-identical output across worker counts, including across
+// checkpoint/restore.
 
 #include "common/thread_pool.h"
 
@@ -102,8 +102,7 @@ TEST(SchedulerPoolTest, StealsUnderSkew) {
   EXPECT_GT(pool.counters().steals.load(), 0u);
   const uint64_t executed = pool.counters().morsels_local.load() +
                             pool.counters().morsels_stolen.load() +
-                            pool.counters().morsels_injected.load() +
-                            pool.counters().morsels_inline.load();
+                            pool.counters().morsels_injected.load();
   EXPECT_EQ(executed, kLeaves + 1);  // leaves + the fan-out morsel
   pool.Shutdown();
 }
@@ -201,9 +200,9 @@ TEST(SchedulerPoolTest, ShutdownDropsQueuedMorselsCleanly) {
 
 TEST(SchedulerPoolTest, RepeatingTimerFiresUntilCancelled) {
   WorkStealingPool::Options opts;
-  opts.timer_only = true;
+  opts.num_workers = 1;
   WorkStealingPool pool(opts);
-  EXPECT_EQ(pool.num_workers(), 0u);
+  EXPECT_EQ(pool.num_workers(), 1u);
 
   std::atomic<uint64_t> ticks{0};
   const uint64_t id = pool.ScheduleRepeating(1, [&] { ticks.fetch_add(1); });
@@ -235,9 +234,9 @@ Record KeyedValue(uint64_t i) {
 }
 
 TEST(SchedulerJobTest, PoolSizeBoundsOsThreads) {
-  // Parallelism 8 in thread-per-task mode would spawn a thread per
-  // subtask; the scheduler must spawn exactly worker_threads workers plus
-  // the shared timer thread, regardless of task count.
+  // Parallelism 8 must not mean a thread per subtask: the scheduler spawns
+  // exactly worker_threads workers plus the shared timer thread,
+  // regardless of task count.
   const size_t baseline = OsThreadCount();
 
   std::atomic<bool> stop{false};
@@ -260,7 +259,6 @@ TEST(SchedulerJobTest, PoolSizeBoundsOsThreads) {
                   .Collect();
 
   JobOptions options;
-  options.execution_mode = JobOptions::ExecutionMode::kScheduler;
   options.worker_threads = 2;
   auto job = env.CreateJob(options);
   ASSERT_TRUE(job.ok()) << job.status().ToString();
@@ -305,7 +303,6 @@ TEST(SchedulerJobTest, BarriersCompleteWithOneWorkerManyTasks) {
                   .Collect();
 
   JobOptions options;
-  options.execution_mode = JobOptions::ExecutionMode::kScheduler;
   options.worker_threads = 1;
   options.snapshot_store = std::make_shared<SnapshotStore>();
   auto job = env.CreateJob(options);
@@ -353,7 +350,6 @@ TEST(SchedulerJobTest, PeriodicCheckpointsCompleteUnderScheduler) {
                   .Collect();
 
   JobOptions options;
-  options.execution_mode = JobOptions::ExecutionMode::kScheduler;
   options.worker_threads = 1;
   options.checkpoint_interval_ms = 2;
   options.snapshot_store = std::make_shared<SnapshotStore>();
@@ -369,7 +365,7 @@ TEST(SchedulerJobTest, PeriodicCheckpointsCompleteUnderScheduler) {
 }
 
 // ---------------------------------------------------------------------------
-// Mode equivalence: scheduler vs thread-per-task, byte-identical output.
+// Worker-count equivalence: byte-identical output at every pool size.
 
 std::vector<Record> TestInput(size_t n, uint32_t seed, int64_t num_keys) {
   std::mt19937 rng(seed);
@@ -411,17 +407,20 @@ void ExpectIdenticalOutput(const std::vector<Record>& want,
   }
 }
 
-// Baseline = thread-per-task; scheduler output must match byte for byte at
-// every worker count.
-void ExpectModeInvariant(const PipelineFn& build, int parallelism = 1) {
+// Worker counts compared against the one-worker baseline; 0 is the default
+// (hardware_concurrency) pool.
+constexpr size_t kComparedWorkerCounts[] = {2, 4, 0};
+
+// Baseline = one worker, where every morsel runs on a single thread; output
+// must match it byte for byte at every other worker count.
+void ExpectWorkerCountInvariant(const PipelineFn& build, int parallelism = 1) {
   JobOptions baseline_options;
-  baseline_options.execution_mode = JobOptions::ExecutionMode::kThreadPerTask;
+  baseline_options.worker_threads = 1;
   const std::vector<Record> baseline =
       RunWithOptions(build, baseline_options, parallelism);
   EXPECT_FALSE(baseline.empty());
-  for (size_t workers : {1u, 2u, 4u}) {
+  for (size_t workers : kComparedWorkerCounts) {
     JobOptions options;
-    options.execution_mode = JobOptions::ExecutionMode::kScheduler;
     options.worker_threads = workers;
     ExpectIdenticalOutput(baseline, RunWithOptions(build, options, parallelism),
                           "workers=" + std::to_string(workers));
@@ -429,7 +428,7 @@ void ExpectModeInvariant(const PipelineFn& build, int parallelism = 1) {
 }
 
 TEST(SchedulerEquivalenceTest, MapFilterFlatMapChain) {
-  ExpectModeInvariant([](Environment& env) {
+  ExpectWorkerCountInvariant([](Environment& env) {
     return env.FromRecords(TestInput(5'000, 21, 64))
         .Map([](Record&& r) {
           r.fields[1] = Value(r.field(1).AsInt64() * 3);
@@ -445,7 +444,7 @@ TEST(SchedulerEquivalenceTest, MapFilterFlatMapChain) {
 }
 
 TEST(SchedulerEquivalenceTest, KeyedReduceOverHashEdge) {
-  ExpectModeInvariant([](Environment& env) {
+  ExpectWorkerCountInvariant([](Environment& env) {
     return env.FromRecords(TestInput(5'000, 22, 32))
         .KeyBy(0)
         .Reduce([](const Record& acc, const Record& next) {
@@ -460,7 +459,7 @@ TEST(SchedulerEquivalenceTest, KeyedReduceOverHashEdge) {
 TEST(SchedulerEquivalenceTest, ParallelWindowedAggregate) {
   // Keyed subtasks run at parallelism 4 and their outputs interleave at
   // the rebalanced sink, so compare as a sorted multiset; the per-key
-  // window sums themselves must be identical across modes.
+  // window sums themselves must be identical at every worker count.
   const PipelineFn build = [](Environment& env) {
     DataStream left = env.FromRecords(TestInput(2'000, 23, 16), "left");
     DataStream right = env.FromRecords(TestInput(2'000, 24, 16), "right");
@@ -480,13 +479,12 @@ TEST(SchedulerEquivalenceTest, ParallelWindowedAggregate) {
   };
 
   JobOptions baseline_options;
-  baseline_options.execution_mode = JobOptions::ExecutionMode::kThreadPerTask;
+  baseline_options.worker_threads = 1;
   const std::vector<Record> baseline =
       normalize(RunWithOptions(build, baseline_options, 4));
   EXPECT_FALSE(baseline.empty());
-  for (size_t workers : {1u, 2u, 4u}) {
+  for (size_t workers : kComparedWorkerCounts) {
     JobOptions options;
-    options.execution_mode = JobOptions::ExecutionMode::kScheduler;
     options.worker_threads = workers;
     ExpectIdenticalOutput(baseline,
                           normalize(RunWithOptions(build, options, 4)),
@@ -566,11 +564,11 @@ std::shared_ptr<CollectSink> BuildGatedReduce(Environment* env, Gate* gate,
       .Collect();
 }
 
-// Runs the gated pipeline in `mode`: checkpoint at kCut, keep emitting,
-// "crash" (cancel), then restore a second job from the checkpoint and run
-// to completion. Returns pre-barrier outputs + restored-run outputs.
-std::vector<Record> RunWithCrashAndRestore(
-    JobOptions::ExecutionMode mode, size_t workers) {
+// Runs the gated pipeline on `workers` workers: checkpoint at kCut, keep
+// emitting, "crash" (cancel), then restore a second job from the
+// checkpoint and run to completion. Returns pre-barrier outputs +
+// restored-run outputs.
+std::vector<Record> RunWithCrashAndRestore(size_t workers) {
   constexpr uint64_t kTotal = 400;
   constexpr uint64_t kCut = 150;
   auto store = std::make_shared<SnapshotStore>();
@@ -582,7 +580,6 @@ std::vector<Record> RunWithCrashAndRestore(
     Environment env;
     auto sink = BuildGatedReduce(&env, &gate, kTotal);
     JobOptions options;
-    options.execution_mode = mode;
     options.worker_threads = workers;
     options.snapshot_store = store;
     auto job = env.CreateJob(options);
@@ -608,7 +605,6 @@ std::vector<Record> RunWithCrashAndRestore(
     Environment env;
     auto sink = BuildGatedReduce(&env, &gate, kTotal);
     JobOptions options;
-    options.execution_mode = mode;
     options.worker_threads = workers;
     options.snapshot_store = store;
     options.restore_from_checkpoint = cp;
@@ -623,7 +619,7 @@ std::vector<Record> RunWithCrashAndRestore(
 }
 
 TEST(SchedulerEquivalenceTest, CheckpointRestartMatchesAcrossModes) {
-  // Reference: uninterrupted thread-per-task run.
+  // Reference: uninterrupted one-worker run.
   std::vector<Record> reference;
   {
     Gate gate;
@@ -631,22 +627,15 @@ TEST(SchedulerEquivalenceTest, CheckpointRestartMatchesAcrossModes) {
     Environment env;
     auto sink = BuildGatedReduce(&env, &gate, 400);
     JobOptions options;
-    options.execution_mode = JobOptions::ExecutionMode::kThreadPerTask;
+    options.worker_threads = 1;
     ASSERT_TRUE(env.Execute(options).ok());
     reference = sink->records();
     ASSERT_EQ(reference.size(), 400u);
   }
 
-  const std::vector<Record> legacy = RunWithCrashAndRestore(
-      JobOptions::ExecutionMode::kThreadPerTask, 0);
-  ExpectIdenticalOutput(reference, legacy, "thread-per-task crash+restore");
-
   for (size_t workers : {1u, 2u}) {
-    const std::vector<Record> sched = RunWithCrashAndRestore(
-        JobOptions::ExecutionMode::kScheduler, workers);
-    ExpectIdenticalOutput(reference, sched,
-                          "scheduler crash+restore workers=" +
-                              std::to_string(workers));
+    ExpectIdenticalOutput(reference, RunWithCrashAndRestore(workers),
+                          "crash+restore workers=" + std::to_string(workers));
   }
 }
 

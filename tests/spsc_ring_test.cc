@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,84 +109,104 @@ TEST(SpscRingTest, ThreadedFifoStress) {
   EXPECT_TRUE(ring.Empty());
 }
 
-// --- SpscChannel: the blocking protocol over the ring ----------------------
+// --- SpscChannel: the non-blocking channel protocol over the ring ----------
+
+// Counts Wake() calls; shared by every channel a test consumer multiplexes.
+class CountingWaker : public Waker {
+ public:
+  void Wake() override { wakes.fetch_add(1, std::memory_order_acq_rel); }
+  std::atomic<uint64_t> wakes{0};
+};
+
+// Consumer side of the close-and-drain protocol: spins (yielding) until an
+// element arrives or the channel is closed and drained. False only at
+// end-of-channel.
+bool PopOrEnd(SpscChannel<int>* ch, int* out) {
+  for (;;) {
+    if (ch->TryPop(out)) return true;
+    // Closed: one more pop covers an element pushed between the failed
+    // TryPop and the close check.
+    if (ch->closed()) return ch->TryPop(out);
+    std::this_thread::yield();
+  }
+}
 
 TEST(SpscChannelTest, PushPopFifo) {
   SpscChannel<int> ch(4);
-  EXPECT_TRUE(ch.Push(1));
-  EXPECT_TRUE(ch.Push(2));
-  EXPECT_EQ(ch.Pop().value(), 1);
-  EXPECT_EQ(ch.Pop().value(), 2);
+  EXPECT_TRUE(ch.TryPush(1));
+  EXPECT_TRUE(ch.TryPush(2));
+  int out = 0;
+  ASSERT_TRUE(ch.TryPop(&out));
+  EXPECT_EQ(out, 1);
+  ASSERT_TRUE(ch.TryPop(&out));
+  EXPECT_EQ(out, 2);
+  EXPECT_FALSE(ch.TryPop(&out));
 }
 
 TEST(SpscChannelTest, CloseDrainsThenEnds) {
   SpscChannel<int> ch(4);
-  ch.Push(1);
-  ch.Push(2);
+  ASSERT_TRUE(ch.TryPush(1));
+  ASSERT_TRUE(ch.TryPush(2));
   ch.Close();
-  EXPECT_FALSE(ch.Push(3));  // rejected after close
-  EXPECT_EQ(ch.Pop().value(), 1);
-  EXPECT_EQ(ch.Pop().value(), 2);
-  EXPECT_FALSE(ch.Pop().has_value());  // drained -> end of channel
+  EXPECT_FALSE(ch.TryPush(3));  // rejected after close
+  int out = 0;
+  ASSERT_TRUE(ch.TryPop(&out));
+  EXPECT_EQ(out, 1);
+  ASSERT_TRUE(ch.TryPop(&out));
+  EXPECT_EQ(out, 2);
+  EXPECT_FALSE(ch.TryPop(&out));  // drained ...
+  EXPECT_TRUE(ch.closed());       // ... and closed -> end of channel
 }
 
-TEST(SpscChannelTest, BlockedProducerWakesOnPop) {
+// The scheduler's wakeup contract: the waker fires exactly once per
+// accepted push and once on close, so a consumer that went idle on an
+// empty ring is always marked runnable again.
+TEST(SpscChannelTest, WakerFiresOncePerPushAndOnClose) {
+  CountingWaker waker;
+  SpscChannel<int> ch(4);
+  ch.set_waker(&waker);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ch.TryPush(int{i}));
+  EXPECT_EQ(waker.wakes.load(), 3u);
+  int out = 0;
+  ASSERT_TRUE(ch.TryPop(&out));
+  EXPECT_EQ(waker.wakes.load(), 3u);  // pops never wake
+  ch.Close();
+  EXPECT_EQ(waker.wakes.load(), 4u);
+}
+
+// A push rejected as full or closed delivered nothing, so it must not
+// wake the consumer (a spurious wakeup per rejected retry would turn
+// backpressure into a notify storm).
+TEST(SpscChannelTest, WakerSilentOnRejectedPush) {
+  CountingWaker waker;
   SpscChannel<int> ch(2);
-  ASSERT_TRUE(ch.Push(1));
-  ASSERT_TRUE(ch.Push(2));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ch.Push(3);  // blocks: channel is full
-    pushed.store(true);
-  });
-  // The producer must be blocked until the consumer makes room.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(ch.Pop().value(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(ch.Pop().value(), 2);
-  EXPECT_EQ(ch.Pop().value(), 3);
-}
-
-TEST(SpscChannelTest, BlockedProducerWakesOnClose) {
-  SpscChannel<int> ch(1);
-  ASSERT_TRUE(ch.Push(1));
-  std::atomic<bool> returned{false};
-  std::thread producer([&] {
-    EXPECT_FALSE(ch.Push(2));  // blocks, then rejected by close
-    returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(returned.load());
+  ch.set_waker(&waker);
+  ASSERT_TRUE(ch.TryPush(1));
+  ASSERT_TRUE(ch.TryPush(2));
+  EXPECT_EQ(waker.wakes.load(), 2u);
+  EXPECT_FALSE(ch.TryPush(3));  // full
+  EXPECT_EQ(waker.wakes.load(), 2u);
   ch.Close();
-  producer.join();
-  EXPECT_TRUE(returned.load());
-}
-
-TEST(SpscChannelTest, ConsumerParksOnDoorbellUntilPush) {
-  Doorbell bell;
-  SpscChannel<int> ch(4, &bell);
-  std::optional<int> got;
-  std::thread consumer([&] { got = ch.Pop(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ch.Push(42);
-  consumer.join();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 42);
+  EXPECT_EQ(waker.wakes.load(), 3u);
+  int out = 0;
+  ASSERT_TRUE(ch.TryPop(&out));  // room again, but closed
+  EXPECT_FALSE(ch.TryPush(4));
+  EXPECT_EQ(waker.wakes.load(), 3u);
 }
 
 TEST(SpscChannelTest, ThreadedTransferDeliversEverythingOnce) {
   constexpr int kItems = 100'000;
-  Doorbell bell;
-  SpscChannel<int> ch(32, &bell);
+  SpscChannel<int> ch(32);
   std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(ch.Push(int{i}));
+    for (int i = 0; i < kItems; ++i) {
+      while (!ch.TryPush(int{i})) std::this_thread::yield();
+    }
     ch.Close();
   });
   int expected = 0;
-  while (auto v = ch.Pop()) {
-    ASSERT_EQ(*v, expected);
+  int v = 0;
+  while (PopOrEnd(&ch, &v)) {
+    ASSERT_EQ(v, expected);
     ++expected;
   }
   producer.join();
@@ -195,20 +214,23 @@ TEST(SpscChannelTest, ThreadedTransferDeliversEverythingOnce) {
 }
 
 // One consumer multiplexing several producer channels through a shared
-// doorbell -- the executor's input topology.
-TEST(SpscChannelTest, MultiplexedChannelsOneDoorbell) {
+// waker -- the executor's input topology. The consumer goes idle only
+// until the waker fires; reading the wake count before each sweep makes
+// a push racing with the sweep visible, never lost.
+TEST(SpscChannelTest, MultiplexedChannelsOneWaker) {
   constexpr int kProducers = 4;
   constexpr int kItemsEach = 20'000;
-  Doorbell bell;
+  CountingWaker waker;
   std::vector<std::unique_ptr<SpscChannel<int>>> channels;
   for (int p = 0; p < kProducers; ++p) {
-    channels.push_back(std::make_unique<SpscChannel<int>>(16, &bell));
+    channels.push_back(std::make_unique<SpscChannel<int>>(16));
+    channels.back()->set_waker(&waker);
   }
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kItemsEach; ++i) {
-        ASSERT_TRUE(channels[p]->Push(int{p}));
+        while (!channels[p]->TryPush(int{p})) std::this_thread::yield();
       }
       channels[p]->Close();
     });
@@ -217,6 +239,7 @@ TEST(SpscChannelTest, MultiplexedChannelsOneDoorbell) {
   int open = kProducers;
   std::vector<bool> live(kProducers, true);
   while (open > 0) {
+    const uint64_t seen = waker.wakes.load(std::memory_order_acquire);
     bool progress = false;
     for (int p = 0; p < kProducers; ++p) {
       if (!live[p]) continue;
@@ -225,23 +248,17 @@ TEST(SpscChannelTest, MultiplexedChannelsOneDoorbell) {
         ASSERT_EQ(v, p);
         ++counts[p];
         progress = true;
-      } else if (channels[p]->closed() && channels[p]->Empty()) {
-        int drain = 0;
-        while (channels[p]->TryPop(&drain)) ++counts[p];
+      } else if (channels[p]->closed()) {
+        while (channels[p]->TryPop(&v)) ++counts[p];
         live[p] = false;
         --open;
         progress = true;
       }
     }
     if (!progress) {
-      bell.Park([&] {
-        for (int p = 0; p < kProducers; ++p) {
-          if (live[p] && (!channels[p]->Empty() || channels[p]->closed())) {
-            return true;
-          }
-        }
-        return false;
-      });
+      while (waker.wakes.load(std::memory_order_acquire) == seen) {
+        std::this_thread::yield();
+      }
     }
   }
   for (std::thread& t : producers) t.join();

@@ -81,8 +81,8 @@ SessionStats Parse(const std::vector<Record>& records) {
 
 TEST(SystemIntegrationTest, FullStoryWithCrashAndRestore) {
   // Run 1 first: the log stays OPEN across the checkpoint so the sources
-  // are guaranteed alive to process the barrier (idle sources service
-  // barriers via HandleIdle); then the rest of the stream arrives and the
+  // are guaranteed alive to process the barrier (idle sources still
+  // service barriers); then the rest of the stream arrives and the
   // job "crashes" (cancel).
   auto log = std::make_shared<EventLog>(2);
   auto store = std::make_shared<SnapshotStore>();

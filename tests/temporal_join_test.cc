@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "api/datastream.h"
 
 namespace streamline {
@@ -85,33 +90,75 @@ TEST(TemporalJoinTest, TableStateSnapshotRoundTrip) {
   EXPECT_EQ(out.records[0].field(3).AsString(), "row7");
 }
 
+// Fact source gated on the join task's input counter: it stays idle until
+// the join has taken in `table_rows` records -- every dimension row, since
+// no fact flows before the gate opens -- then emits one fact per poll. A
+// join task dispatches one input event at a time, so each row is in its
+// table before any fact reaches the join.
+class GatedFactSource : public SourceFunction {
+ public:
+  GatedFactSource(std::vector<Record> facts,
+                  const std::atomic<Counter*>* join_in, uint64_t table_rows)
+      : facts_(std::move(facts)), join_in_(join_in), table_rows_(table_rows) {}
+
+  Result<SourcePoll> Poll(SourceContext* ctx) override {
+    if (pos_ >= facts_.size()) return SourcePoll::kExhausted;
+    const Counter* in = join_in_->load(std::memory_order_acquire);
+    if (in == nullptr || in->value() < table_rows_) return SourcePoll::kIdle;
+    if (!ctx->Emit(std::move(facts_[pos_]))) return SourcePoll::kExhausted;
+    ++pos_;
+    return SourcePoll::kHasMore;
+  }
+  std::string Name() const override { return "gated_facts"; }
+
+ private:
+  std::vector<Record> facts_;
+  const std::atomic<Counter*>* join_in_;
+  uint64_t table_rows_;
+  size_t pos_ = 0;
+};
+
 TEST(TemporalJoinTest, EndToEndThroughApi) {
+  static constexpr int kTableRows = 20;
   Environment env(2);
   // Dimension changelog: item -> category.
   std::vector<Record> table_rows;
-  for (int item = 0; item < 20; ++item) {
+  for (int item = 0; item < kTableRows; ++item) {
     table_rows.push_back(MakeRecord(
         0, Value(static_cast<int64_t>(item)),
         Value("cat" + std::to_string(item % 4))));
   }
-  // Facts arrive after the table (ts > 0 just for clarity; the temporal
-  // join is processing-order based, so feed the table from one bounded
-  // source which completes quickly).
+  // The temporal join is processing-order based, so the facts wait behind
+  // a gate until the whole table is in the join (see GatedFactSource).
   std::vector<Record> facts;
   for (int i = 0; i < 200; ++i) {
     facts.push_back(MakeRecord(100 + i, Value(static_cast<int64_t>(i % 20)),
                                Value(1.0)));
   }
+  std::atomic<Counter*> join_in{nullptr};
   auto table = env.FromRecords(std::move(table_rows), "dim").KeyBy(0);
-  auto sink = env.FromRecords(std::move(facts), "facts")
+  auto sink = env.FromSource(
+                     "facts",
+                     [&facts, &join_in](int, int)
+                         -> std::unique_ptr<SourceFunction> {
+                       return std::make_unique<GatedFactSource>(
+                           facts, &join_in, kTableRows);
+                     },
+                     1)
                   .KeyBy(0)
                   .TemporalJoin(table, /*table_width=*/2,
-                                /*emit_unmatched=*/true)
-                  .Collect();
-  ASSERT_TRUE(env.Execute().ok());
+                                /*emit_unmatched=*/true, "join")
+                  .Collect("collect");
+  auto job = env.CreateJob();
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  // The join and its sink fuse into one chain; its records_in counter
+  // covers both join subtasks.
+  join_in.store((*job)->metrics()->GetCounter("task.join->collect.records_in"),
+                std::memory_order_release);
+  ASSERT_TRUE((*job)->Run().ok());
   ASSERT_EQ(sink->size(), 200u);
-  // Every matched record carries its category; unmatched ones (races where
-  // a fact beat its table row) are null-padded rather than dropped.
+  // With the table complete before the first fact, every fact matches and
+  // carries its category (an unmatched one would be null-padded).
   size_t matched = 0;
   for (const Record& r : sink->records()) {
     ASSERT_EQ(r.num_fields(), 4u);
@@ -122,7 +169,7 @@ TEST(TemporalJoinTest, EndToEndThroughApi) {
                 "cat" + std::to_string(item % 4));
     }
   }
-  EXPECT_GT(matched, 0u);
+  EXPECT_EQ(matched, 200u);
 }
 
 }  // namespace

@@ -99,9 +99,7 @@ bool IsIntrinsicNondet(const CallSite& cs, std::string* display) {
 
 /// Resolved callees that *are* blocking sinks: their bodies park the thread.
 bool IsBlockingSink(const std::string& qualified) {
-  if (StartsWith(qualified, "CondVar::Wait")) return true;
-  if (qualified == "Doorbell::Park") return true;
-  return false;
+  return StartsWith(qualified, "CondVar::Wait");
 }
 
 }  // namespace

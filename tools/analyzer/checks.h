@@ -55,8 +55,8 @@ class Resolver {
 void ResolveLockIds(Program* prog);
 
 struct CheckOptions {
-  /// Functions whose blocking facts are sanctioned (the park/doorbell sites
-  /// in thread_pool.cc). Matched on qualified name.
+  /// Functions whose blocking facts are sanctioned (the worker and timer
+  /// park sites in thread_pool.cc). Matched on qualified name.
   std::set<std::string> blocking_allowlist = {
       "WorkStealingPool::WorkerMain",
       "WorkStealingPool::TimerMain",
