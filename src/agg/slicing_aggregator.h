@@ -84,7 +84,6 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   /// Returns the slot id (stable; reported to result callbacks).
   size_t AttachQuery(std::unique_ptr<WindowFunction> wf, ResultCallback cb) {
     last_attach_backfilled_ = false;
-    last_attach_backfill_slices_ = 0;
     if (stats_.elements > 0) {
       wf->AttachAt(last_ts_);
       if (auto* sliding = dynamic_cast<SlidingWindowFn*>(wf.get())) {
@@ -287,10 +286,6 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   size_t active_queries() const { return active_queries_; }
   /// Whether the most recent AttachQuery backfilled pre-attach windows.
   bool last_attach_backfilled() const { return last_attach_backfilled_; }
-  /// Stored slices the most recent backfilled attach reuses.
-  uint64_t last_attach_backfill_slices() const {
-    return last_attach_backfill_slices_;
-  }
 
   /// Serializes the full aggregation state (open slice, per-query window
   /// progress, shared store, counters) for engine checkpoints. Detached
@@ -444,8 +439,6 @@ class SlicingAggregator : public WindowAggregator<Agg> {
     if (earliest == kMaxTimestamp) return;
     wf->BackfillTo(earliest);
     last_attach_backfilled_ = true;
-    last_attach_backfill_slices_ =
-        store_.EndIndex() - store_.LowerBound(earliest);
   }
 
   bool HasIntactCutAt(Timestamp t) const {
@@ -767,7 +760,6 @@ class SlicingAggregator : public WindowAggregator<Agg> {
   std::vector<size_t> poll_gens_;
 
   bool last_attach_backfilled_ = false;
-  uint64_t last_attach_backfill_slices_ = 0;
 
   WindowEvents scratch_;
   std::vector<TaggedEvent> events_;

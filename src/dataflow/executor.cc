@@ -1291,16 +1291,14 @@ Result<std::unique_ptr<Job>> Job::Create(const LogicalGraph& graph,
   for (size_t i = 0; i < chain_head.size(); ++i) {
     chain_head[i] = static_cast<int>(i);
   }
-  if (options.enable_chaining) {
-    for (int id : topo) {
-      const auto in_edges = graph.InEdges(id);
-      if (in_edges.size() != 1) continue;
-      const GraphEdge* e = in_edges[0];
-      if (e->scheme != PartitionScheme::kForward) continue;
-      if (e->input_ordinal != 0) continue;
-      if (graph.OutEdges(e->from).size() != 1) continue;
-      chain_head[id] = chain_head[e->from];
-    }
+  for (int id : topo) {
+    const auto in_edges = graph.InEdges(id);
+    if (in_edges.size() != 1) continue;
+    const GraphEdge* e = in_edges[0];
+    if (e->scheme != PartitionScheme::kForward) continue;
+    if (e->input_ordinal != 0) continue;
+    if (graph.OutEdges(e->from).size() != 1) continue;
+    chain_head[id] = chain_head[e->from];
   }
   // Group members in topological order.
   // lint:allow(unordered-map-hot-path): plan construction, once per job

@@ -40,9 +40,6 @@ struct JobOptions {
   /// barriers and end-of-stream flush eagerly, so batching never delays
   /// control events. 1 ships every record as a batch of one.
   size_t batch_size = 256;
-  /// Fuse forward-connected same-parallelism operators into one task
-  /// (operator chaining).
-  bool enable_chaining = true;
   /// Periodic checkpointing interval; 0 disables the timer (explicit
   /// TriggerCheckpoint still works when a snapshot store exists).
   int64_t checkpoint_interval_ms = 0;

@@ -1,22 +1,11 @@
 #include "dataflow/query_registry.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace streamline {
-
-namespace {
-
-/// log2 of the estimated resident slice count, floored at 1 -- the per-cut
-/// append and per-fire range-combine cost of the FlatFAT store.
-double Log2Slices(double est_store_slices) {
-  return std::max(1.0, std::log2(std::max(2.0, est_store_slices)));
-}
-
-}  // namespace
 
 uint64_t QueryRegistry::AttachSliding(Duration range, Duration slide,
                                       Timestamp origin,
@@ -26,15 +15,11 @@ uint64_t QueryRegistry::AttachSliding(Duration range, Duration slide,
   MutexLock lock(&mu_);
   const uint64_t id = next_id_++;
   const QueryDescriptor desc{range, slide, origin};
-  const QueryPlacement placement = ChoosePlacementLocked(desc);
-  const bool rewrite = placement == QueryPlacement::kShared &&
-                       FactorsThroughActiveLocked(desc);
+  const bool rewrite = FactorsThroughActiveLocked(desc);
   const uint64_t seq = latest_seq_.load(std::memory_order_relaxed) + 1;
-  log_.push_back(QueryCommand{seq, QueryCommand::Kind::kAttach, id, desc,
-                              placement});
+  log_.push_back(QueryCommand{seq, QueryCommand::Kind::kAttach, id, desc});
   Entry entry;
   entry.desc = desc;
-  entry.placement = placement;
   entry.attach_seq = seq;
   entry.handler = std::move(handler);
   entries_.emplace(id, std::move(entry));
@@ -65,7 +50,7 @@ Status QueryRegistry::Detach(uint64_t query_id) {
   }
   const uint64_t seq = latest_seq_.load(std::memory_order_relaxed) + 1;
   log_.push_back(QueryCommand{seq, QueryCommand::Kind::kDetach, query_id,
-                              it->second.desc, it->second.placement});
+                              it->second.desc});
   it->second.detach_seq = seq;
   ++stats_.detaches;
   --stats_.active_queries;
@@ -93,14 +78,6 @@ bool QueryRegistry::WaitQueryApplied(uint64_t query_id,
     if (now >= deadline) return false;
     (void)ack_cv_.WaitFor(&mu_, deadline - now);  // loop re-checks predicate
   }
-}
-
-QueryPlacement QueryRegistry::PlacementOf(uint64_t query_id) const {
-  MutexLock lock(&mu_);
-  auto it = entries_.find(query_id);
-  STREAMLINE_CHECK(it != entries_.end())
-      << "unknown query id " << query_id;
-  return it->second.placement;
 }
 
 QueryRegistry::Stats QueryRegistry::stats() const {
@@ -202,40 +179,10 @@ void QueryRegistry::SetDefaultHandler(ResultHandler handler) {
   default_handler_ = std::move(handler);
 }
 
-QueryPlacement QueryRegistry::ChoosePlacementLocked(
-    const QueryDescriptor& d) const {
-  // Marginal cost per *record* of each placement, in combine-equivalents.
-  //
-  // Shared slicer: the per-record partial update is already paid once for
-  // everyone (that is the point of Cutty sharing), so the query's marginal
-  // cost is its boundary work: one cut (O(log S) FlatFAT append) plus one
-  // fire (O(log S) range-combine) per slide -- amortized over the
-  // lambda * slide records that arrive per slide.
-  //
-  // Standalone (eager): ceil(range/slide) open windows contain each record,
-  // and every one takes a combine -- no cuts, no shared-store fragmentation.
-  //
-  // Sharing wins for everything but pathological shapes (slide near the
-  // record spacing with small range), where per-element cuts would shred
-  // the shared store that all other tenants pay to search.
-  const double lambda = options_.est_records_per_time;
-  const double log_s = Log2Slices(options_.est_store_slices);
-  const double records_per_slide =
-      std::max(1.0, lambda * static_cast<double>(d.slide));
-  const double shared_cost = 2.0 * log_s / records_per_slide;
-  const double standalone_cost = std::ceil(static_cast<double>(d.range) /
-                                           static_cast<double>(d.slide));
-  return standalone_cost < shared_cost ? QueryPlacement::kStandalone
-                                       : QueryPlacement::kShared;
-}
-
 bool QueryRegistry::FactorsThroughActiveLocked(
     const QueryDescriptor& d) const {
   for (const auto& [id, entry] : entries_) {
-    if (entry.detach_seq != 0 ||
-        entry.placement != QueryPlacement::kShared) {
-      continue;
-    }
+    if (entry.detach_seq != 0) continue;
     const QueryDescriptor& e = entry.desc;
     // Every begin of `d` lands on a cut already made for `e`: d's begins
     // are origin_d + k*slide_d, which all lie on e's begin grid iff slide_d

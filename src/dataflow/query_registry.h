@@ -32,18 +32,6 @@ struct QueryDescriptor {
   Timestamp origin = 0;
 };
 
-/// Where an attached query's state lives inside the window operator.
-enum class QueryPlacement : uint8_t {
-  /// A new slot in the shared slicing aggregator: the query rides the
-  /// shared slice store (Cutty sharing) and, when its begin grid factors
-  /// through an already-registered query's cut grid, adds zero new cuts.
-  kShared = 0,
-  /// Dedicated per-key open-window partials (eager). Chosen when the cost
-  /// model predicts the query would fragment the shared store (pathological
-  /// slide) more than it saves.
-  kStandalone = 1,
-};
-
 /// One entry of the registry's command log. Window operators consume the
 /// log in sequence order at watermark boundaries; the log is the single
 /// source of truth for which dynamic queries exist, so every subtask (and
@@ -53,8 +41,7 @@ struct QueryCommand {
   uint64_t seq = 0;
   Kind kind = Kind::kAttach;
   uint64_t query_id = 0;
-  QueryDescriptor desc;              // attach only
-  QueryPlacement placement = QueryPlacement::kShared;
+  QueryDescriptor desc;  // attach only
 };
 
 /// Multi-tenant standing-query registry: the control plane that turns a
@@ -69,30 +56,18 @@ struct QueryCommand {
 /// slices where the begin grids line up -- and detach unregisters the query
 /// and garbage-collects the slices only it pinned.
 ///
-/// Placement is cost-based, decided once per attach (see ChoosePlacement):
-/// sharing the slicer costs one partial update per record *total* plus
-/// O(log slices) per cut and per fire, while a standalone query costs
-/// ceil(range/slide) updates per record but adds no cuts. Queries whose
-/// window factors through an existing query's cut grid (slide a multiple,
-/// origins congruent) share with zero new cuts and are counted as rewrites.
+/// Every attached query becomes a slot of each key's shared slicing
+/// aggregator (Cutty sharing: one partial update per record serves all
+/// queries). Queries whose window factors through an active query's cut
+/// grid (slide a multiple, origins congruent) add zero new cuts and are
+/// counted as rewrites.
 ///
 /// Thread safety: all public methods are safe to call concurrently from
 /// user threads and worker (task) threads.
 class QueryRegistry {
  public:
-  struct Options {
-    /// Cost-model estimate of per-key record arrival rate, in records per
-    /// timestamp unit. Biases the share-vs-standalone break-even point.
-    double est_records_per_time = 1.0;
-    /// Cost-model estimate of the shared store's resident slice count.
-    double est_store_slices = 64.0;
-  };
-
   /// Receives the tagged result records of one query (demuxed by id).
   using ResultHandler = std::function<void(const Record&)>;
-
-  QueryRegistry() : options_(Options{}) {}
-  explicit QueryRegistry(Options options) : options_(options) {}
 
   /// Attaches a sliding-window aggregate query to every operator consuming
   /// this registry. Returns the query id tagged into its result records
@@ -114,8 +89,6 @@ class QueryRegistry {
   /// detach) command of `query_id`, i.e. the query is live (or fully
   /// drained) on all subtasks. Returns false on timeout.
   bool WaitQueryApplied(uint64_t query_id, std::chrono::milliseconds timeout);
-
-  QueryPlacement PlacementOf(uint64_t query_id) const;
 
   struct Stats {
     uint64_t active_queries = 0;
@@ -179,20 +152,16 @@ class QueryRegistry {
  private:
   struct Entry {
     QueryDescriptor desc;
-    QueryPlacement placement = QueryPlacement::kShared;
     uint64_t attach_seq = 0;
     uint64_t detach_seq = 0;  // 0 while active
     ResultHandler handler;
     uint64_t results = 0;
   };
 
-  QueryPlacement ChoosePlacementLocked(const QueryDescriptor& d) const
-      STREAMLINE_REQUIRES(mu_);
   bool FactorsThroughActiveLocked(const QueryDescriptor& d) const
       STREAMLINE_REQUIRES(mu_);
   void UpdateGaugesLocked() STREAMLINE_REQUIRES(mu_);
 
-  const Options options_;
   std::atomic<uint64_t> latest_seq_{0};
 
   mutable Mutex mu_;

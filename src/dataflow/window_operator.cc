@@ -152,7 +152,6 @@ void WindowAggOperator::ApplyElement(const Value& key, KeyState* ks,
                             record.timestamp};
     const Value payload = spec_.payload ? spec_.payload(record) : Value();
     ks->shared->OnElement(record.timestamp, in, payload);
-    if (active_standalone_ > 0) FoldStandalone(key, ks, record);
     return;
   }
   // Eager: fold the record into every open window of every query.
@@ -160,11 +159,7 @@ void WindowAggOperator::ApplyElement(const Value& key, KeyState* ks,
       adapter_.dyn.Lift(record.field(spec_.value_field), record.timestamp);
   for (EagerQueryState& qs : ks->eager) {
     const Timestamp ts = record.timestamp;
-    Timestamp b = qs.origin +
-                  ((ts - qs.origin) >= 0
-                       ? (ts - qs.origin) / qs.slide
-                       : ((ts - qs.origin) - qs.slide + 1) / qs.slide) *
-                      qs.slide;
+    Timestamp b = FloorToGrid(ts, qs.origin, qs.slide);
     for (; b > ts - qs.range; b -= qs.slide) {
       if (b > ts) continue;
       const Window w{b, b + qs.range};
@@ -198,60 +193,8 @@ void WindowAggOperator::AdvanceKeyWatermark(const Value& key, KeyState* ks,
                                             Timestamp wm) {
   if (spec_.backend == WindowBackend::kShared) {
     ks->shared->OnWatermark(wm);
-    FireStandalone(key, ks, wm);
   } else {
     EagerFire(key, ks, wm);
-  }
-}
-
-void WindowAggOperator::FoldStandalone(const Value& key, KeyState* ks,
-                                       const Record& record) {
-  (void)key;
-  const DynPartial lifted =
-      adapter_.dyn.Lift(record.field(spec_.value_field), record.timestamp);
-  size_t sidx = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.placement != QueryPlacement::kStandalone) continue;
-    StandaloneState& ss = ks->standalone[sidx++];
-    if (!dq.active) continue;
-    const Timestamp ts = record.timestamp;
-    Timestamp b = FloorToGrid(ts, dq.desc.origin, dq.desc.slide);
-    for (; b > ts - dq.desc.range; b -= dq.desc.slide) {
-      // Windows that began before the attach point would be missing the
-      // records applied before the query existed; serve only complete ones.
-      if (b > ts || b < dq.attach_wm) continue;
-      const Window w{b, b + dq.desc.range};
-      auto it = std::lower_bound(
-          ss.open.begin(), ss.open.end(), w,
-          [](const auto& e, const Window& win) { return e.first < win; });
-      if (it == ss.open.end() || it->first != w) {
-        it = ss.open.insert(it, {w, adapter_.Identity()});
-      }
-      it->second = adapter_.Combine(it->second, lifted);
-    }
-  }
-}
-
-void WindowAggOperator::FireStandalone(const Value& key, KeyState* ks,
-                                       Timestamp wm) {
-  if (ks->standalone.empty()) return;
-  size_t sidx = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.placement != QueryPlacement::kStandalone) continue;
-    StandaloneState& ss = ks->standalone[sidx++];
-    // Sorted by (end, start): the fired windows are a prefix. Detached
-    // entries have no open windows (cleared at detach).
-    size_t fired = 0;
-    while (fired < ss.open.size() && ss.open[fired].first.end <= wm) {
-      EmitResult(key, static_cast<size_t>(dq.id), ss.open[fired].first,
-                 adapter_.Lower(ss.open[fired].second));
-      ++fired;
-    }
-    if (fired > 0) {
-      ks->standalone_fires += fired;
-      ss.open.erase(ss.open.begin(),
-                    ss.open.begin() + static_cast<ptrdiff_t>(fired));
-    }
   }
 }
 
@@ -296,8 +239,8 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
   // point, so element order within and across keys is exactly the
   // per-element order (byte-identical output). Payload-carrying specs stay
   // per-element: the batch API carries no payloads.
-  const bool can_batch = spec_.backend == WindowBackend::kShared &&
-                         !spec_.payload && active_standalone_ == 0;
+  const bool can_batch =
+      spec_.backend == WindowBackend::kShared && !spec_.payload;
   size_t applied = 0;
   while (in_bound(applied)) {
     const Record& record = apply_scratch_[applied].first;
@@ -352,7 +295,7 @@ void WindowAggOperator::ProcessWatermark(Timestamp wm, Collector* out) {
       AdvanceKeyWatermark(key, &ks, wm);
       continue;
     }
-    const std::array<uint64_t, 4> before = KeyFingerprint(ks);
+    const std::array<uint64_t, 3> before = KeyFingerprint(ks);
     AdvanceKeyWatermark(key, &ks, wm);
     if (KeyFingerprint(ks) != before) {
       changelog_.Upsert(key, KeyHashOf(key));
@@ -373,9 +316,8 @@ void WindowAggOperator::DrainRegistryCommands() {
   if (reg->latest_seq() != applied_seq_) {
     for (const QueryCommand& cmd : reg->CommandsAfter(applied_seq_)) {
       if (cmd.kind == QueryCommand::Kind::kAttach) {
-        dyn_queries_.push_back(DynQuery{cmd.query_id, cmd.desc,
-                                        cmd.placement, true, current_wm_});
-        ApplyDynAttach(dyn_queries_.back(), &slices_freed);
+        dyn_queries_.push_back(DynQuery{cmd.query_id, cmd.desc, true});
+        ApplyDynAttach(dyn_queries_.back());
       } else {
         for (size_t i = 0; i < dyn_queries_.size(); ++i) {
           if (dyn_queries_[i].id == cmd.query_id && dyn_queries_[i].active) {
@@ -397,60 +339,26 @@ void WindowAggOperator::DrainRegistryCommands() {
                   TotalStoredSlices(), slices_freed);
 }
 
-void WindowAggOperator::ApplyDynAttach(const DynQuery& dq,
-                                       uint64_t* slices_freed) {
-  (void)slices_freed;
-  const size_t index = dyn_queries_.size() - 1;
-  if (dq.placement == QueryPlacement::kShared) {
-    const size_t slot = SharedSlotOfDyn(index);
-    for (auto& [key, ks] : keys_) {
-      Value key_copy = key;
-      const uint64_t id = dq.id;
-      const size_t got = ks.shared->AttachQuery(
-          std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
-                                            dq.desc.origin),
-          [this, key_copy, id](size_t, const Window& w, const Value& v) {
-            EmitResult(key_copy, id, w, v);
-          });
-      STREAMLINE_CHECK_EQ(got, slot);
-    }
-  } else {
-    for (auto& [key, ks] : keys_) ks.standalone.emplace_back();
-    ++active_standalone_;
+void WindowAggOperator::ApplyDynAttach(const DynQuery& dq) {
+  const size_t slot = SharedSlotOfDyn(dyn_queries_.size() - 1);
+  for (auto& [key, ks] : keys_) {
+    Value key_copy = key;
+    const uint64_t id = dq.id;
+    const size_t got = ks.shared->AttachQuery(
+        std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
+                                          dq.desc.origin),
+        [this, key_copy, id](size_t, const Window& w, const Value& v) {
+          EmitResult(key_copy, id, w, v);
+        });
+    STREAMLINE_CHECK_EQ(got, slot);
   }
 }
 
 void WindowAggOperator::ApplyDynDetach(size_t index, uint64_t* slices_freed) {
-  const DynQuery& dq = dyn_queries_[index];
-  if (dq.placement == QueryPlacement::kShared) {
-    const size_t slot = SharedSlotOfDyn(index);
-    for (auto& [key, ks] : keys_) {
-      *slices_freed += ks.shared->DetachQuery(slot);
-    }
-  } else {
-    const size_t sidx = StandaloneIndexOfDyn(index);
-    for (auto& [key, ks] : keys_) {
-      ks.standalone[sidx].open.clear();
-      ks.standalone[sidx].open.shrink_to_fit();
-    }
-    --active_standalone_;
+  const size_t slot = SharedSlotOfDyn(index);
+  for (auto& [key, ks] : keys_) {
+    *slices_freed += ks.shared->DetachQuery(slot);
   }
-}
-
-size_t WindowAggOperator::SharedSlotOfDyn(size_t index) const {
-  size_t slot = spec_.windows.size();
-  for (size_t i = 0; i < index; ++i) {
-    if (dyn_queries_[i].placement == QueryPlacement::kShared) ++slot;
-  }
-  return slot;
-}
-
-size_t WindowAggOperator::StandaloneIndexOfDyn(size_t index) const {
-  size_t sidx = 0;
-  for (size_t i = 0; i < index; ++i) {
-    if (dyn_queries_[i].placement == QueryPlacement::kStandalone) ++sidx;
-  }
-  return sidx;
 }
 
 void WindowAggOperator::InitDynStateForKey(const Value& key, KeyState* ks) {
@@ -458,19 +366,15 @@ void WindowAggOperator::InitDynStateForKey(const Value& key, KeyState* ks) {
   // element (the key has no earlier history to miss); detached entries
   // still allocate their slot so the layout matches the table.
   for (const DynQuery& dq : dyn_queries_) {
-    if (dq.placement == QueryPlacement::kShared) {
-      Value key_copy = key;
-      const uint64_t id = dq.id;
-      const size_t slot = ks->shared->AddQuery(
-          std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
-                                            dq.desc.origin),
-          [this, key_copy, id](size_t, const Window& w, const Value& v) {
-            EmitResult(key_copy, id, w, v);
-          });
-      if (!dq.active) ks->shared->DetachQuery(slot);
-    } else {
-      ks->standalone.emplace_back();
-    }
+    Value key_copy = key;
+    const uint64_t id = dq.id;
+    const size_t slot = ks->shared->AddQuery(
+        std::make_unique<SlidingWindowFn>(dq.desc.range, dq.desc.slide,
+                                          dq.desc.origin),
+        [this, key_copy, id](size_t, const Window& w, const Value& v) {
+          EmitResult(key_copy, id, w, v);
+        });
+    if (!dq.active) ks->shared->DetachQuery(slot);
   }
 }
 
@@ -499,16 +403,6 @@ void WindowAggOperator::SnapshotKeyState(const KeyState& ks,
                                          BinaryWriter* w) const {
   if (spec_.backend == WindowBackend::kShared) {
     ks.shared->Snapshot(w, SerializeDynPartial);
-    w->WriteU64(ks.standalone.size());
-    w->WriteU64(ks.standalone_fires);
-    for (const StandaloneState& ss : ks.standalone) {
-      w->WriteU64(ss.open.size());
-      for (const auto& [window, partial] : ss.open) {
-        w->WriteI64(window.start);
-        w->WriteI64(window.end);
-        DynAggregate::SerializePartial(partial, w);
-      }
-    }
     return;
   }
   w->WriteU64(ks.eager.size());
@@ -525,31 +419,7 @@ void WindowAggOperator::SnapshotKeyState(const KeyState& ks,
 
 Status WindowAggOperator::RestoreKeyState(KeyState* ks, BinaryReader* r) {
   if (spec_.backend == WindowBackend::kShared) {
-    STREAMLINE_RETURN_IF_ERROR(ks->shared->Restore(r, DeserializeDynPartial));
-    auto ns = r->ReadU64();
-    if (!ns.ok()) return ns.status();
-    if (*ns != ks->standalone.size()) {
-      return Status::FailedPrecondition("standalone query count mismatch");
-    }
-    auto fires = r->ReadU64();
-    if (!fires.ok()) return fires.status();
-    ks->standalone_fires = *fires;
-    for (StandaloneState& ss : ks->standalone) {
-      // A delta may re-restore a key with open windows; full replacement.
-      ss.open.clear();
-      auto nw = r->ReadU64();
-      if (!nw.ok()) return nw.status();
-      for (uint64_t k = 0; k < *nw; ++k) {
-        auto start = r->ReadI64();
-        if (!start.ok()) return start.status();
-        auto end = r->ReadI64();
-        if (!end.ok()) return end.status();
-        auto p = DynAggregate::DeserializePartial(r);
-        if (!p.ok()) return p.status();
-        ss.open.emplace_back(Window{*start, *end}, *p);
-      }
-    }
-    return Status::Ok();
+    return ks->shared->Restore(r, DeserializeDynPartial);
   }
   auto nq = r->ReadU64();
   if (!nq.ok()) return nq.status();
@@ -577,72 +447,16 @@ Status WindowAggOperator::RestoreKeyState(KeyState* ks, BinaryReader* r) {
   return Status::Ok();
 }
 
-std::array<uint64_t, 4> WindowAggOperator::KeyFingerprint(
+std::array<uint64_t, 3> WindowAggOperator::KeyFingerprint(
     const KeyState& ks) const {
   if (spec_.backend == WindowBackend::kShared) {
     const AggStats& s = ks.shared->stats();
-    uint64_t standalone_open = 0;
-    for (const StandaloneState& ss : ks.standalone) {
-      standalone_open += ss.open.size();
-    }
-    // Standalone fires erase open windows; either count moving means the
-    // watermark mutated this key's standalone state.
     return {s.fires, s.slices_created,
-            static_cast<uint64_t>(ks.shared->stored_slices()),
-            (ks.standalone_fires << 32) ^ standalone_open};
+            static_cast<uint64_t>(ks.shared->stored_slices())};
   }
   uint64_t open = 0;
   for (const EagerQueryState& qs : ks.eager) open += qs.open.size();
-  return {open, 0, 0, 0};
-}
-
-void WindowAggOperator::WriteDynTable(BinaryWriter* w) const {
-  w->WriteU64(applied_seq_);
-  w->WriteU64(dyn_queries_.size());
-  for (const DynQuery& dq : dyn_queries_) {
-    w->WriteU64(dq.id);
-    w->WriteI64(dq.desc.range);
-    w->WriteI64(dq.desc.slide);
-    w->WriteI64(dq.desc.origin);
-    w->WriteU8(static_cast<uint8_t>(dq.placement));
-    w->WriteBool(dq.active);
-    w->WriteI64(dq.attach_wm);
-  }
-}
-
-Status WindowAggOperator::ReadDynTable(BinaryReader* r,
-                                       std::vector<DynQuery>* table,
-                                       uint64_t* applied_seq) const {
-  auto seq = r->ReadU64();
-  if (!seq.ok()) return seq.status();
-  auto n = r->ReadU64();
-  if (!n.ok()) return n.status();
-  table->clear();
-  for (uint64_t i = 0; i < *n; ++i) {
-    DynQuery dq;
-    auto id = r->ReadU64();
-    if (!id.ok()) return id.status();
-    auto range = r->ReadI64();
-    if (!range.ok()) return range.status();
-    auto slide = r->ReadI64();
-    if (!slide.ok()) return slide.status();
-    auto origin = r->ReadI64();
-    if (!origin.ok()) return origin.status();
-    auto placement = r->ReadU8();
-    if (!placement.ok()) return placement.status();
-    auto active = r->ReadBool();
-    if (!active.ok()) return active.status();
-    auto attach_wm = r->ReadI64();
-    if (!attach_wm.ok()) return attach_wm.status();
-    dq.id = *id;
-    dq.desc = QueryDescriptor{*range, *slide, *origin};
-    dq.placement = static_cast<QueryPlacement>(*placement);
-    dq.active = *active;
-    dq.attach_wm = *attach_wm;
-    table->push_back(dq);
-  }
-  *applied_seq = *seq;
-  return Status::Ok();
+  return {open, 0, 0};
 }
 
 void WindowAggOperator::ReconcileDynTable(std::vector<DynQuery> table,
@@ -652,7 +466,7 @@ void WindowAggOperator::ReconcileDynTable(std::vector<DynQuery> table,
   // entries, then attach the appended tail. Keys the commands mutated were
   // all marked dirty in the same epoch, so their exact state follows in
   // this delta's upserts; the retrofit only has to make the *layout* (slot
-  // counts, standalone vector sizes) match before those restores run.
+  // counts) match before those restores run.
   uint64_t ignored_freed = 0;
   STREAMLINE_CHECK(table.size() >= dyn_queries_.size())
       << "dyn-query table shrank across a delta";
@@ -665,59 +479,61 @@ void WindowAggOperator::ReconcileDynTable(std::vector<DynQuery> table,
   }
   for (size_t i = dyn_queries_.size(); i < table.size(); ++i) {
     dyn_queries_.push_back(table[i]);
-    ApplyDynAttach(dyn_queries_.back(), &ignored_freed);
+    ApplyDynAttach(dyn_queries_.back());
     // Attached and detached between deltas: the slot must exist (layout)
     // but be detached, or the per-key restore validation rejects it.
     if (!table[i].active) ApplyDynDetach(i, &ignored_freed);
   }
   dyn_queries_ = std::move(table);
   applied_seq_ = applied_seq;
-  active_standalone_ = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.active && dq.placement == QueryPlacement::kStandalone) {
-      ++active_standalone_;
-    }
-  }
 }
 
-Status WindowAggOperator::SnapshotState(BinaryWriter* w) const {
+void WindowAggOperator::WriteHeader(BinaryWriter* w) const {
   w->WriteI64(current_wm_);
   w->WriteU64(seq_);
-  WriteDynTable(w);
+  w->WriteU64(applied_seq_);
+  w->WriteU64(dyn_queries_.size());
+  for (const DynQuery& dq : dyn_queries_) {
+    w->WriteU64(dq.id);
+    w->WriteI64(dq.desc.range);
+    w->WriteI64(dq.desc.slide);
+    w->WriteI64(dq.desc.origin);
+    w->WriteBool(dq.active);
+  }
   // Written in heap-array order (deterministic for a given input history);
-  // Restore rebuilds the heap property, which holds for any array order.
+  // ReadHeader rebuilds the heap property, which holds for any array order.
   w->WriteU64(pending_.size());
   for (const auto& [record, seq] : pending_) {
     w->WriteRecord(record);
     w->WriteU64(seq);
   }
-  w->WriteU64(keys_.size());
-  for (const auto& [key, ks] : keys_) {
-    w->WriteValue(key);
-    SnapshotKeyState(ks, w);
-  }
-  return Status::Ok();
 }
 
-Status WindowAggOperator::RestoreState(BinaryReader* r) {
+Status WindowAggOperator::ReadHeader(BinaryReader* r) {
   auto wm = r->ReadI64();
   if (!wm.ok()) return wm.status();
   auto seq = r->ReadU64();
   if (!seq.ok()) return seq.status();
-  // The dynamic-query table must be in place before any key state is
-  // restored: GetOrCreateKey lays out per-key slots/standalone vectors from
-  // it, and RestoreKeyState validates the layout it reads against that.
+  auto applied_seq = r->ReadU64();
+  if (!applied_seq.ok()) return applied_seq.status();
+  auto n = r->ReadU64();
+  if (!n.ok()) return n.status();
   std::vector<DynQuery> table;
-  uint64_t applied_seq = 0;
-  STREAMLINE_RETURN_IF_ERROR(ReadDynTable(r, &table, &applied_seq));
-  dyn_queries_ = std::move(table);
-  applied_seq_ = applied_seq;
-  active_standalone_ = 0;
-  for (const DynQuery& dq : dyn_queries_) {
-    if (dq.active && dq.placement == QueryPlacement::kStandalone) {
-      ++active_standalone_;
-    }
+  for (uint64_t i = 0; i < *n; ++i) {
+    auto id = r->ReadU64();
+    if (!id.ok()) return id.status();
+    auto range = r->ReadI64();
+    if (!range.ok()) return range.status();
+    auto slide = r->ReadI64();
+    if (!slide.ok()) return slide.status();
+    auto origin = r->ReadI64();
+    if (!origin.ok()) return origin.status();
+    auto active = r->ReadBool();
+    if (!active.ok()) return active.status();
+    table.push_back(
+        DynQuery{*id, QueryDescriptor{*range, *slide, *origin}, *active});
   }
+  ReconcileDynTable(std::move(table), *applied_seq);
   auto np = r->ReadU64();
   if (!np.ok()) return np.status();
   pending_.clear();
@@ -729,9 +545,31 @@ Status WindowAggOperator::RestoreState(BinaryReader* r) {
     pending_.emplace_back(std::move(*rec), *s);
   }
   std::make_heap(pending_.begin(), pending_.end(), PendingAfter);
+  current_wm_ = *wm;
+  seq_ = *seq;
+  return Status::Ok();
+}
+
+Status WindowAggOperator::SnapshotState(BinaryWriter* w) const {
+  WriteHeader(w);
+  w->WriteU64(keys_.size());
+  for (const auto& [key, ks] : keys_) {
+    w->WriteValue(key);
+    SnapshotKeyState(ks, w);
+  }
+  return Status::Ok();
+}
+
+Status WindowAggOperator::RestoreState(BinaryReader* r) {
+  // A full restore replaces everything: with no live keys and an empty dyn
+  // table, the header's reconcile just installs the table. It must be in
+  // place before any key state is restored: GetOrCreateKey lays out per-key
+  // slots from it, and RestoreKeyState validates the layout it reads.
+  keys_.clear();
+  dyn_queries_.clear();
+  STREAMLINE_RETURN_IF_ERROR(ReadHeader(r));
   auto nk = r->ReadU64();
   if (!nk.ok()) return nk.status();
-  keys_.clear();
   keys_.Reserve(*nk);
   for (uint64_t i = 0; i < *nk; ++i) {
     auto key = r->ReadValue();
@@ -739,27 +577,17 @@ Status WindowAggOperator::RestoreState(BinaryReader* r) {
     KeyState* ks = GetOrCreateKey(*key, KeyHashOf(*key));
     STREAMLINE_RETURN_IF_ERROR(RestoreKeyState(ks, r));
   }
-  current_wm_ = *wm;
-  seq_ = *seq;
   return Status::Ok();
 }
 
 Status WindowAggOperator::SnapshotDelta(ChangelogSink* sink) {
-  // Meta record first: the operator-wide clock (watermark, arrival
-  // sequence) and the reorder buffer. The buffer holds only records the
-  // watermark has not yet covered, so this stays small in steady state;
-  // replay replaces it wholesale.
+  // Meta record first: the operator header. The reorder buffer holds only
+  // records the watermark has not yet covered, so this stays small in
+  // steady state; replay replaces it wholesale.
   {
     BinaryWriter w;
     w.WriteU8(kDeltaMetaTag);
-    w.WriteI64(current_wm_);
-    w.WriteU64(seq_);
-    WriteDynTable(&w);
-    w.WriteU64(pending_.size());
-    for (const auto& [record, seq] : pending_) {
-      w.WriteRecord(record);
-      w.WriteU64(seq);
-    }
+    WriteHeader(&w);
     STREAMLINE_RETURN_IF_ERROR(sink->Append(w.Release()));
   }
   for (const KeyedChangelog::Event& ev : changelog_.events()) {
@@ -783,30 +611,7 @@ Status WindowAggOperator::SnapshotDelta(ChangelogSink* sink) {
 Status WindowAggOperator::ApplyDelta(BinaryReader* r) {
   auto tag = r->ReadU8();
   if (!tag.ok()) return tag.status();
-  if (*tag == kDeltaMetaTag) {
-    auto wm = r->ReadI64();
-    if (!wm.ok()) return wm.status();
-    auto seq = r->ReadU64();
-    if (!seq.ok()) return seq.status();
-    std::vector<DynQuery> table;
-    uint64_t applied_seq = 0;
-    STREAMLINE_RETURN_IF_ERROR(ReadDynTable(r, &table, &applied_seq));
-    ReconcileDynTable(std::move(table), applied_seq);
-    auto np = r->ReadU64();
-    if (!np.ok()) return np.status();
-    pending_.clear();
-    for (uint64_t i = 0; i < *np; ++i) {
-      auto rec = r->ReadRecord();
-      if (!rec.ok()) return rec.status();
-      auto s = r->ReadU64();
-      if (!s.ok()) return s.status();
-      pending_.emplace_back(std::move(*rec), *s);
-    }
-    std::make_heap(pending_.begin(), pending_.end(), PendingAfter);
-    current_wm_ = *wm;
-    seq_ = *seq;
-    return Status::Ok();
-  }
+  if (*tag == kDeltaMetaTag) return ReadHeader(r);
   auto key = r->ReadValue();
   if (!key.ok()) return key.status();
   const uint64_t hash = KeyHashOf(*key);

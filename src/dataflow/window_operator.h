@@ -193,27 +193,16 @@ class WindowAggOperator : public Operator {
   };
 
   /// One registry-attached query, as applied by this subtask. The table is
-  /// a pure function of the command-log prefix [1, applied_seq_] (plus the
-  /// watermark at each application), so it is identical across subtasks and
-  /// across checkpoint restore/replay. Entries are append-only -- a detach
-  /// flips `active` but keeps the entry, because per-key slot indices and
-  /// snapshot layouts are derived from entry positions.
+  /// a pure function of the command-log prefix [1, applied_seq_], so it is
+  /// identical across subtasks and across checkpoint restore/replay. Each
+  /// entry owns one slot of every key's shared slicing aggregator (see
+  /// SharedSlotOfDyn). Entries are append-only -- a detach flips `active`
+  /// but keeps the entry, because per-key slot indices and snapshot layouts
+  /// are derived from entry positions.
   struct DynQuery {
     uint64_t id = 0;
     QueryDescriptor desc;
-    QueryPlacement placement = QueryPlacement::kShared;
     bool active = true;
-    /// Operator watermark when the attach was applied; standalone queries
-    /// only serve windows beginning at or after it (earlier windows would
-    /// be missing the records applied before the attach).
-    Timestamp attach_wm = kMinTimestamp;
-  };
-
-  /// Per-key open-window partials of one standalone dynamic query
-  /// (positionally aligned with the standalone entries of dyn_queries_,
-  /// holes included).
-  struct StandaloneState {
-    std::vector<std::pair<Window, DynPartial>> open;  // sorted by Window <
   };
 
   struct KeyState {
@@ -221,9 +210,6 @@ class WindowAggOperator : public Operator {
     std::unique_ptr<SharedAgg> shared;
     // kEager backend.
     std::vector<EagerQueryState> eager;
-    // Registry-attached standalone queries (kShared backend only).
-    std::vector<StandaloneState> standalone;
-    uint64_t standalone_fires = 0;
   };
 
   KeyState* GetOrCreateKey(const Value& key, uint64_t hash);
@@ -238,7 +224,7 @@ class WindowAggOperator : public Operator {
   /// OnWatermark-reachable mutation is gated on one of those. Eager
   /// backend: EagerFire only erases, so the total open-window count
   /// strictly decreases whenever anything fired.
-  std::array<uint64_t, 4> KeyFingerprint(const KeyState& ks) const;
+  std::array<uint64_t, 3> KeyFingerprint(const KeyState& ks) const;
   void EmitResult(const Value& key, size_t query, const Window& w,
                   const Value& result);
   void EagerFire(const Value& key, KeyState* ks, Timestamp wm);
@@ -252,25 +238,26 @@ class WindowAggOperator : public Operator {
   /// Structural application of one dyn-table entry to live keys. Shared by
   /// the live drain and by checkpoint-delta replay (which reconciles the
   /// key layout before re-restoring the keys the epoch touched).
-  void ApplyDynAttach(const DynQuery& dq, uint64_t* slices_freed);
+  void ApplyDynAttach(const DynQuery& dq);
   void ApplyDynDetach(size_t index, uint64_t* slices_freed);
-  /// Slicer slot of dyn entry `index` (spec windows first, then one slot
-  /// per shared dyn entry in table order, detached holes included).
-  size_t SharedSlotOfDyn(size_t index) const;
-  /// Position of dyn entry `index` among standalone entries.
-  size_t StandaloneIndexOfDyn(size_t index) const;
+  /// Slicer slot of dyn entry `index`: spec windows first, then one slot
+  /// per dyn entry in table order, detached holes included.
+  size_t SharedSlotOfDyn(size_t index) const {
+    return spec_.windows.size() + index;
+  }
   /// Registers the dyn-table queries on a freshly created key (slot layout
   /// must match the table for snapshots to line up).
   void InitDynStateForKey(const Value& key, KeyState* ks);
-  void FoldStandalone(const Value& key, KeyState* ks, const Record& record);
-  void FireStandalone(const Value& key, KeyState* ks, Timestamp wm);
   uint64_t TotalStoredSlices() const;
-  void WriteDynTable(BinaryWriter* w) const;
-  Status ReadDynTable(BinaryReader* r, std::vector<DynQuery>* table,
-                      uint64_t* applied_seq) const;
   /// Replaces the dyn table with `table`, structurally retrofitting live
   /// keys (new entries attached, newly inactive entries detached).
   void ReconcileDynTable(std::vector<DynQuery> table, uint64_t applied_seq);
+  /// The operator header shared by full snapshots and the delta meta
+  /// record: watermark, arrival sequence, dyn-query table, reorder buffer.
+  void WriteHeader(BinaryWriter* w) const;
+  /// Reads a header written by WriteHeader, reconciling the dyn table with
+  /// the live keys and replacing the clock and the reorder buffer.
+  Status ReadHeader(BinaryReader* r);
 
   std::string name_;
   WindowAggSpec spec_;
@@ -304,12 +291,9 @@ class WindowAggOperator : public Operator {
   uint64_t seq_ = 0;
   Timestamp current_wm_ = kMinTimestamp;
 
-  // Standing-query state (empty without a registry). active_standalone_
-  // gates the per-record standalone fold -- and disables run batching,
-  // which bypasses ApplyElement.
+  // Standing-query state (empty without a registry).
   std::vector<DynQuery> dyn_queries_;
   uint64_t applied_seq_ = 0;
-  size_t active_standalone_ = 0;
   int subtask_index_ = 0;
   // The job MetricsRegistry handed to the registry in Open; unbound in the
   // destructor so a registry outliving this job never writes into it.

@@ -66,19 +66,6 @@ TEST(ExecutorTest, ChainingFusesForwardEdges) {
   ASSERT_TRUE((*job)->Run().ok());
 }
 
-TEST(ExecutorTest, ChainingCanBeDisabled) {
-  Environment env;
-  env.FromRecords(NumberRecords(1))
-      .Map([](Record&& r) { return std::move(r); })
-      .Collect();
-  JobOptions opts;
-  opts.enable_chaining = false;
-  auto job = env.CreateJob(opts);
-  ASSERT_TRUE(job.ok());
-  EXPECT_EQ((*job)->num_tasks(), 3u);
-  ASSERT_TRUE((*job)->Run().ok());
-}
-
 TEST(ExecutorTest, KeyedReduceWithHashPartitioning) {
   Environment env(4);
   // Records: key = i % 5, value = i.

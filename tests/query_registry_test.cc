@@ -1,16 +1,18 @@
 // Multi-tenant standing queries: attach/detach through the QueryRegistry on
-// a *running* job (no restart), cost-based placement, per-query result
+// a *running* job (no restart), the factoring rewrite, per-query result
 // routing, slice garbage collection on detach, and checkpoint/restore of
 // the dynamic-query table under injected crashes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <set>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "api/datastream.h"
 #include "common/fault_injection.h"
@@ -190,7 +192,6 @@ TEST(QueryRegistryTest, DetachGarbageCollectsSlicesAndUpdatesGauges) {
   // spec tumbling query alone would have evicted right after firing.
   const uint64_t id = registry->AttachSliding(/*range=*/4000, kWindow);
   gate->store(true);
-  ASSERT_EQ(registry->PlacementOf(id), QueryPlacement::kShared);
   ASSERT_TRUE(registry->WaitQueryApplied(id, std::chrono::seconds(30)));
   EXPECT_EQ(metrics->GetGauge("registry.queries")->value(), 1.0);
 
@@ -216,22 +217,59 @@ TEST(QueryRegistryTest, DetachGarbageCollectsSlicesAndUpdatesGauges) {
 }
 
 // ---------------------------------------------------------------------------
-// Cost model: placement decisions and the factoring rewrite.
+// Fine-grained shapes share the slice store; factoring windows add no cuts.
 
-TEST(QueryRegistryTest, CostModelPlacesPathologicalSlideStandalone) {
-  // Default estimates: plenty of records per slide -> sharing amortizes.
-  QueryRegistry shared_reg;
-  const uint64_t a = shared_reg.AttachSliding(1000, 100);
-  EXPECT_EQ(shared_reg.PlacementOf(a), QueryPlacement::kShared);
+TEST(QueryRegistryTest, FineGrainedLateAttachServesExactGaplessWindows) {
+  // Slide 2 with range 4 cuts the shared store at every other record, far
+  // finer than the spec query's tumbling grid it shares the store with.
+  static constexpr int64_t kTotal = 40000;
+  static constexpr int64_t kRange = 4;
+  static constexpr int64_t kSlide = 2;
+  auto registry = std::make_shared<QueryRegistry>();
+  auto gate = std::make_shared<std::atomic<bool>>(false);
+  Environment env;
+  auto sink = BuildRegistryJob(&env, registry, kTotal, /*sleep_every=*/200,
+                               gate, /*gate_at=*/kTotal / 2);
+  auto job = env.CreateJob();
+  ASSERT_TRUE(job.ok());
+  ASSERT_TRUE((*job)->Start().ok());
 
-  // Starved arrival-rate estimate: each slide sees ~one record, so every
-  // record would pay two O(log S) boundary walks -- costlier than the
-  // single combine a standalone tumbling window needs.
-  QueryRegistry::Options opts;
-  opts.est_records_per_time = 1e-9;
-  QueryRegistry sparse_reg(opts);
-  const uint64_t b = sparse_reg.AttachTumbling(100);
-  EXPECT_EQ(sparse_reg.PlacementOf(b), QueryPlacement::kStandalone);
+  ASSERT_TRUE(AwaitSinkSize(*sink, 60));
+  const uint64_t id = registry->AttachSliding(kRange, kSlide);
+  gate->store(true);
+  ASSERT_TRUE(registry->WaitQueryApplied(id, std::chrono::seconds(30)));
+  ASSERT_TRUE((*job)->AwaitCompletion().ok());
+
+  const auto windows = WindowsOf(sink->records(), static_cast<int64_t>(id));
+  ASSERT_GE(windows.size(), 1u) << "attached query never fired";
+  // Every served window holds exactly PacedSource's records of its key.
+  for (const auto& [kw, v] : windows) {
+    double expect = 0;
+    for (int64_t t = std::max<int64_t>(kw.second, 0);
+         t < std::min(kw.second + kRange, kTotal); ++t) {
+      if (t % kKeys == kw.first) expect += static_cast<double>(t % 7);
+    }
+    EXPECT_EQ(v, expect) << "window (key=" << kw.first
+                         << ", start=" << kw.second << ") diverged";
+  }
+  // Per key, the served window starts step by one slide from the first
+  // served window through the last window holding one of the key's records.
+  for (int64_t key = 0; key < kKeys; ++key) {
+    std::vector<int64_t> starts;
+    for (const auto& [kw, v] : windows) {
+      if (kw.first == key) starts.push_back(kw.second);
+    }
+    ASSERT_FALSE(starts.empty()) << "key " << key << " never served";
+    EXPECT_GT(starts.front(), 0) << "attach happened after start";
+    for (size_t i = 1; i < starts.size(); ++i) {
+      EXPECT_EQ(starts[i] - starts[i - 1], kSlide)
+          << "gap after window start=" << starts[i - 1] << " of key " << key;
+    }
+    int64_t last_ts = kTotal - 1;
+    while (last_ts % kKeys != key) --last_ts;
+    EXPECT_EQ(starts.back(), last_ts - last_ts % kSlide)
+        << "windows of key " << key << " stop before the end of the stream";
+  }
 }
 
 TEST(QueryRegistryTest, FactoringWindowCountsAsSharedRewrite) {
@@ -245,37 +283,6 @@ TEST(QueryRegistryTest, FactoringWindowCountsAsSharedRewrite) {
   // Misaligned origin: begins fall between existing cuts -> not a rewrite.
   (void)reg.AttachTumbling(100, /*origin=*/3);
   EXPECT_EQ(reg.stats().rewrites_shared, 1u);
-}
-
-TEST(QueryRegistryTest, StandalonePlacementServesCompleteWindowsOnly) {
-  QueryRegistry::Options opts;
-  opts.est_records_per_time = 1e-9;  // force kStandalone for any attach
-  auto registry = std::make_shared<QueryRegistry>(opts);
-  auto gate = std::make_shared<std::atomic<bool>>(false);
-  Environment env;
-  auto sink = BuildRegistryJob(&env, registry, /*total=*/40000,
-                               /*sleep_every=*/200, gate, /*gate_at=*/20000);
-  auto job = env.CreateJob();
-  ASSERT_TRUE(job.ok());
-  ASSERT_TRUE((*job)->Start().ok());
-
-  ASSERT_TRUE(AwaitSinkSize(*sink, 60));
-  const uint64_t id = registry->AttachTumbling(kWindow);
-  gate->store(true);
-  ASSERT_EQ(registry->PlacementOf(id), QueryPlacement::kStandalone);
-  ASSERT_TRUE(registry->WaitQueryApplied(id, std::chrono::seconds(30)));
-  ASSERT_TRUE((*job)->AwaitCompletion().ok());
-
-  const auto records = sink->records();
-  const auto spec = WindowsOf(records, 0);
-  const auto dyn = WindowsOf(records, static_cast<int64_t>(id));
-  ASSERT_GE(dyn.size(), 1u) << "standalone query never fired";
-  for (const auto& [kw, v] : dyn) {
-    auto it = spec.find(kw);
-    ASSERT_NE(it, spec.end());
-    EXPECT_EQ(it->second, v) << "window (key=" << kw.first
-                             << ", start=" << kw.second << ") diverged";
-  }
 }
 
 // ---------------------------------------------------------------------------

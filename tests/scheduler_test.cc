@@ -237,6 +237,16 @@ TEST(SchedulerJobTest, PoolSizeBoundsOsThreads) {
   // Parallelism 8 must not mean a thread per subtask: the scheduler spawns
   // exactly worker_threads workers plus the shared timer thread,
   // regardless of task count.
+  //
+  // A thread sanitizer starts a background thread of its own the first time
+  // the process creates a thread; start and join a throwaway pool first so
+  // the baseline already counts it.
+  {
+    WorkStealingPool::Options opts;
+    opts.num_workers = 1;
+    WorkStealingPool warmup(opts);
+    warmup.Shutdown();
+  }
   const size_t baseline = OsThreadCount();
 
   std::atomic<bool> stop{false};

@@ -27,7 +27,8 @@ performance or correctness story depends on:
   raw-thread
       Every OS thread in the engine is accounted for: workers and the
       timer belong to WorkStealingPool (src/common/thread_pool.cc), and
-      thread-per-task mode's dedicated threads carry an explicit waiver.
+      the only waived thread is the epoll edge thread of src/net's event
+      loop, which keeps socket readiness blocking off the pool.
       Constructing std::thread anywhere else reintroduces unaccounted
       thread-per-X execution, which is exactly what the morsel scheduler
       exists to prevent.
